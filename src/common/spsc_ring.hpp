@@ -14,6 +14,7 @@
 //     miss per wraparound instead of per operation.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -61,7 +62,12 @@ class SpscRing {
     }
     slots_[tail & mask_] = std::move(value);
     tail_.store(tail + 1, std::memory_order_release);
-    return {PushResult::kOk, depth_after(tail + 1)};
+    // A consumer racing this push may already have popped the element
+    // (head == tail + 1).  Clamping head to the pre-push tail keeps the
+    // element just pushed in the count, so the depth is always >= 1.
+    const std::uint64_t head = head_.load(std::memory_order_acquire);
+    return {PushResult::kOk,
+            static_cast<std::size_t>(tail + 1 - std::min(head, tail))};
   }
 
   /// Consumer side.

@@ -349,7 +349,8 @@ void WirecapEngine::poll(std::uint32_t queue) {
   // a tenant at its cap stops *capturing* — its rings back up and
   // eventually drop at the NIC — without drawing down any other
   // tenant's pools (fairness by construction).
-  std::vector<driver::ChunkMeta> captured;
+  std::vector<driver::ChunkMeta>& captured = capture_scratch_;
+  captured.clear();
   std::uint32_t copied = 0;
   const std::size_t headroom = quota_headroom(qs);
   if (headroom == 0) {
@@ -394,14 +395,14 @@ void WirecapEngine::poll(std::uint32_t queue) {
   }
 
   // Park-and-retry keeps ordering: anything parked earlier goes first.
-  std::deque<driver::ChunkMeta> to_place;
-  to_place.swap(qs.pending);
-  for (const auto& meta : captured) to_place.push_back(meta);
-  while (!to_place.empty()) {
-    const driver::ChunkMeta meta = to_place.front();
-    to_place.pop_front();
-    cost += dispatch(queue, meta);
+  // dispatch() may park again, so the parked chunks are moved out of
+  // `pending` before any is retried.
+  if (!qs.pending.empty()) {
+    std::deque<driver::ChunkMeta> parked;
+    parked.swap(qs.pending);
+    for (const driver::ChunkMeta& meta : parked) cost += dispatch(queue, meta);
   }
+  for (const driver::ChunkMeta& meta : captured) cost += dispatch(queue, meta);
 
   const bool had_work = copied > 0 || !captured.empty();
   // The capture thread is a loop on its core: it pays for the work it

@@ -411,8 +411,10 @@ class WirecapEngine final : public engines::CaptureEngine {
   /// Quota accounts, indexed by TenantId (parallel to tenants()).
   std::vector<engines::TenantAccount> accounts_;
   std::unordered_map<std::uint64_t, Outstanding> outstanding_;
-  /// Scratch for poll()'s batched recycle drain (reused across polls).
+  /// Scratch for poll()'s batched recycle drain and its captured chunks
+  /// (reused across polls; poll() never re-enters itself).
   std::vector<driver::ChunkMeta> recycle_scratch_;
+  std::vector<driver::ChunkMeta> capture_scratch_;
   driver::PoolObserver* pool_observer_ = nullptr;
   // Telemetry context retained so queues opened after bind_telemetry()
   // still publish their per-queue metrics.

@@ -23,26 +23,29 @@ inline constexpr std::array<std::uint8_t, 40> kDefaultRssKey = {
     0xae, 0x7b, 0x30, 0xb4, 0x77, 0xcb, 0x2d, 0xa3, 0x80, 0x30,
     0xf2, 0x0c, 0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa};
 
-/// Computes the Toeplitz hash of `input` under `key`.  `input` is the
-/// concatenated big-endian tuple fields.
+/// Computes the Toeplitz hash of `input` under `key`, one key-window XOR
+/// per set input bit.  `input` is the concatenated big-endian tuple
+/// fields.  This is the bit-serial reference definition; the rss_hash
+/// helpers below compute the same function from a per-byte table.
 [[nodiscard]] std::uint32_t toeplitz_hash(std::span<const std::uint8_t> input,
                                           std::span<const std::uint8_t> key);
 
-/// RSS hash of an IPv4 TCP/UDP 4-tuple + addresses as the 82599 computes
-/// it for "IPv4 with L4" packet types: src ip, dst ip, src port, dst
-/// port, all big-endian.  For protocols without ports the NIC hashes the
-/// addresses only; this helper does the same when proto is not TCP/UDP.
-[[nodiscard]] std::uint32_t rss_hash(
-    const FlowKey& flow,
-    std::span<const std::uint8_t> key = kDefaultRssKey);
+/// RSS hash under kDefaultRssKey of an IPv4 TCP/UDP 4-tuple + addresses
+/// as the 82599 computes it for "IPv4 with L4" packet types: src ip, dst
+/// ip, src port, dst port, all big-endian.  For protocols without ports
+/// the NIC hashes the addresses only; this helper does the same when
+/// proto is not TCP/UDP.  Table-driven: one lookup per input byte.
+[[nodiscard]] std::uint32_t rss_hash(const FlowKey& flow);
 
-/// RSS hash of an IPv6 TCP/UDP tuple ("IPv6 with L4" packet type): the
-/// concatenated 16-byte source and destination addresses followed by
-/// the ports.  With `with_ports == false`, addresses only.
-[[nodiscard]] std::uint32_t rss_hash_ipv6(
-    const Ipv6Addr& src, const Ipv6Addr& dst, std::uint16_t src_port,
-    std::uint16_t dst_port, bool with_ports = true,
-    std::span<const std::uint8_t> key = kDefaultRssKey);
+/// RSS hash under kDefaultRssKey of an IPv6 TCP/UDP tuple ("IPv6 with
+/// L4" packet type): the concatenated 16-byte source and destination
+/// addresses followed by the ports.  With `with_ports == false`,
+/// addresses only.
+[[nodiscard]] std::uint32_t rss_hash_ipv6(const Ipv6Addr& src,
+                                          const Ipv6Addr& dst,
+                                          std::uint16_t src_port,
+                                          std::uint16_t dst_port,
+                                          bool with_ports = true);
 
 /// Size of the RSS indirection table (RETA); 128 entries on the 82599.
 inline constexpr std::uint32_t kRssRetaSize = 128;

@@ -25,19 +25,7 @@ bool RxRing::attach(DmaBuffer buffer) {
   return true;
 }
 
-bool RxRing::has_filled() const {
-  return consume_ < dma_ &&
-         descriptors_[wrap(consume_)].state == RxDescState::kFilled;
-}
-
-std::uint32_t RxRing::filled_count() const {
-  std::uint32_t count = 0;
-  for (std::uint64_t c = consume_; c < dma_; ++c) {
-    if (descriptors_[wrap(c)].state != RxDescState::kFilled) break;
-    ++count;
-  }
-  return count;
-}
+bool RxRing::has_filled() const { return consume_ < filled_; }
 
 RxRing::Consumed RxRing::consume() {
   if (!has_filled()) {
@@ -70,7 +58,7 @@ void RxRing::reset() {
     throw std::logic_error("RxRing::reset: DMA in flight");
   }
   for (RxDescriptor& desc : descriptors_) desc = RxDescriptor{};
-  attach_ = dma_ = consume_ = 0;
+  attach_ = dma_ = consume_ = filled_ = 0;
 }
 
 bool RxRing::can_receive() const {
@@ -95,6 +83,10 @@ void RxRing::complete_dma(std::uint32_t index, const RxWriteback& writeback) {
   }
   desc.state = RxDescState::kFilled;
   desc.writeback = writeback;
+  while (filled_ < dma_ &&
+         descriptors_[wrap(filled_)].state == RxDescState::kFilled) {
+    ++filled_;
+  }
 }
 
 std::uint32_t RxRing::ready_count() const {

@@ -41,7 +41,10 @@ class RxRing {
   [[nodiscard]] bool has_filled() const;
 
   /// Number of contiguous filled descriptors from the consume cursor.
-  [[nodiscard]] std::uint32_t filled_count() const;
+  /// O(1): the distance to the completion cursor.
+  [[nodiscard]] std::uint32_t filled_count() const {
+    return static_cast<std::uint32_t>(filled_ - consume_);
+  }
 
   /// Consumes the filled descriptor at the consume cursor: returns its
   /// buffer + writeback and resets the slot to empty.  Precondition:
@@ -99,11 +102,16 @@ class RxRing {
   }
 
   std::vector<RxDescriptor> descriptors_;
-  // Unwrapped (monotone) cursors; invariant consume_ <= dma_ <= attach_
-  // <= consume_ + size().
+  // Unwrapped (monotone) cursors; invariant consume_ <= filled_ <= dma_
+  // <= attach_ <= consume_ + size().
   std::uint64_t attach_ = 0;
   std::uint64_t dma_ = 0;
   std::uint64_t consume_ = 0;
+  // Completion cursor: every descriptor in [consume_, filled_) is filled
+  // and the one at filled_ (if below dma_) is still in flight.
+  // complete_dma() advances it past each run of completions, so
+  // out-of-order completions are counted once the gap before them closes.
+  std::uint64_t filled_ = 0;
 };
 
 }  // namespace wirecap::nic

@@ -5,8 +5,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
+#include "net/packet.hpp"
 #include "nic/device.hpp"
 #include "sim/scheduler.hpp"
 #include "trace/source.hpp"
@@ -26,20 +26,26 @@ class TrafficInjector {
   [[nodiscard]] std::uint64_t injected() const { return injected_; }
 
  private:
+  // At most one packet is in flight: each arrival schedules the next.
+  // The packet waits in `pending_`, so the arrival event captures only
+  // `this` and needs no heap allocation.
   void schedule_next() {
     auto packet = source_.next();
     if (!packet) return;
-    const Nanos when = packet->timestamp();
-    scheduler_.schedule_at(when, [this, p = std::move(*packet)] {
-      nic_.receive(p);
-      ++injected_;
-      schedule_next();
-    });
+    pending_ = std::move(*packet);
+    scheduler_.schedule_at(pending_.timestamp(), [this] { arrive(); });
+  }
+
+  void arrive() {
+    nic_.receive(pending_);
+    ++injected_;
+    schedule_next();
   }
 
   sim::Scheduler& scheduler_;
   trace::TrafficSource& source_;
   MultiQueueNic& nic_;
+  net::WirePacket pending_;
   std::uint64_t injected_ = 0;
 };
 

@@ -9,22 +9,18 @@ namespace wirecap::sim {
 IoBus::IoBus(Scheduler& scheduler, Rate capacity)
     : scheduler_(scheduler), capacity_(capacity) {}
 
-void IoBus::issue(double transactions, std::function<void()> done) {
+void IoBus::account(double transactions) {
   if (transactions < 0.0) {
     throw std::invalid_argument("IoBus: negative transaction count");
   }
   total_ += transactions;
-  if (unconstrained()) {
-    // Infinitely fast bus: complete synchronously.  Callers are written
-    // to tolerate the callback running inside issue() — this removes one
-    // scheduled event per packet on the (common) unconstrained path.
-    done();
-    return;
-  }
+}
+
+Nanos IoBus::reserve(double transactions) {
   const Nanos service = Nanos::from_seconds(transactions / capacity_.per_second());
   const Nanos start = std::max(scheduler_.now(), busy_until_);
   busy_until_ = start + service;
-  scheduler_.schedule_at(busy_until_, std::move(done));
+  return busy_until_;
 }
 
 Nanos IoBus::current_backlog_delay() const {

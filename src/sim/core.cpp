@@ -38,14 +38,20 @@ void SimCore::start_next() {
   const Nanos scaled{static_cast<std::int64_t>(
       static_cast<double>(item.cost.count()) * speed_scale_)};
   busy_time_ += scaled;
-  scheduler_.schedule_after(scaled, [this, done = std::move(item.done)] {
-    done();
-    if (backlog() > 0) {
-      start_next();
-    } else {
-      running_ = false;
-    }
-  });
+  running_done_ = std::move(item.done);
+  scheduler_.schedule_after(scaled, [this] { finish_running(); });
+}
+
+void SimCore::finish_running() {
+  // Moved out first: start_next() below installs the next item's
+  // callback in running_done_.
+  const std::function<void()> done = std::move(running_done_);
+  done();
+  if (backlog() > 0) {
+    start_next();
+  } else {
+    running_ = false;
+  }
 }
 
 double SimCore::utilization() const {

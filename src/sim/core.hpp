@@ -59,6 +59,9 @@ class SimCore {
   };
 
   void start_next();
+  /// Completion event of the running item: runs its callback, then
+  /// starts the next queued item or goes idle.
+  void finish_running();
 
   Scheduler& scheduler_;
   std::uint32_t id_;
@@ -66,6 +69,10 @@ class SimCore {
   std::deque<WorkItem> kernel_queue_;
   std::deque<WorkItem> user_queue_;
   bool running_ = false;
+  /// Callback of the running item.  Held here rather than in the
+  /// scheduled event, whose lambda then captures only `this` and fits
+  /// std::function's small buffer.
+  std::function<void()> running_done_;
   Nanos busy_time_ = Nanos::zero();
 };
 

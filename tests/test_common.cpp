@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stop_token>
 #include <thread>
 #include <vector>
 
@@ -106,6 +107,15 @@ TEST(FixedRing, EmptyAccessThrows) {
   EXPECT_THROW(FixedRing<int>{0}, std::invalid_argument);
 }
 
+// --- concurrent tests ---
+//
+// Every worker thread below is a std::jthread, which requests stop and
+// joins when its scope exits.  A failed ASSERT returns from the test
+// body early; a plain std::thread still joinable at that point would
+// call std::terminate and take the rest of the binary with it.  Workers
+// that spin on a peer poll their stop token, so the join cannot hang on
+// a peer that already left.
+
 // --- SpscQueue ---
 
 TEST(SpscQueue, BasicFifo) {
@@ -139,9 +149,12 @@ TEST(SpscQueue, ConcurrentStress) {
   // move a million integers; all arrive exactly once, in order.
   constexpr int kCount = 1'000'000;
   SpscQueue<int> queue{1024};
-  std::thread producer([&] {
+  std::jthread producer([&](const std::stop_token& stop) {
     for (int i = 0; i < kCount; ++i) {
-      while (!queue.try_push(i)) std::this_thread::yield();
+      while (!queue.try_push(i)) {
+        if (stop.stop_requested()) return;
+        std::this_thread::yield();
+      }
     }
   });
   long long sum = 0;
@@ -245,9 +258,12 @@ TEST(SpscRing, ConcurrentStressInOrder) {
   // once, in order.  (Run under TSan in CI.)
   constexpr int kCount = 200'000;
   SpscRing<int> ring{1024};
-  std::thread producer([&] {
+  std::jthread producer([&](const std::stop_token& stop) {
     for (int i = 0; i < kCount; ++i) {
-      while (!ring.try_push(i).ok()) std::this_thread::yield();
+      while (!ring.try_push(i).ok()) {
+        if (stop.stop_requested()) return;
+        std::this_thread::yield();
+      }
     }
   });
   long long sum = 0;
@@ -271,9 +287,12 @@ TEST(SpscRing, ConcurrentBatchedConsumerConservation) {
   // in order, regardless of how the batches slice the stream.
   constexpr int kCount = 100'000;
   SpscRing<int> ring{256};
-  std::thread producer([&] {
+  std::jthread producer([&](const std::stop_token& stop) {
     for (int i = 0; i < kCount; ++i) {
-      while (!ring.try_push(i).ok()) std::this_thread::yield();
+      while (!ring.try_push(i).ok()) {
+        if (stop.stop_requested()) return;
+        std::this_thread::yield();
+      }
     }
   });
   std::vector<int> got;
@@ -292,10 +311,9 @@ TEST(SpscRing, ConcurrentDepthAtPushNeverMissesOwnElement) {
   // never exceed capacity.
   constexpr int kCount = 50'000;
   SpscRing<int> ring{64};
-  std::atomic<bool> done{false};
-  std::thread consumer([&] {
+  std::jthread consumer([&](const std::stop_token& stop) {
     int v = -1;
-    while (!done.load(std::memory_order_acquire)) {
+    while (!stop.stop_requested()) {
       if (!ring.try_pop(v)) std::this_thread::yield();
     }
     while (ring.try_pop(v)) {
@@ -312,7 +330,7 @@ TEST(SpscRing, ConcurrentDepthAtPushNeverMissesOwnElement) {
     ASSERT_LE(outcome.depth, ring.capacity());
     max_depth = std::max(max_depth, outcome.depth);
   }
-  done.store(true, std::memory_order_release);
+  consumer.request_stop();
   consumer.join();
   EXPECT_GE(max_depth, 1u);
 }
@@ -324,8 +342,8 @@ TEST(SpscRing, ConcurrentCloseRace) {
   SpscRing<int> ring{128};
   std::atomic<long long> pushed_sum{0};
   std::atomic<int> pushed_count{0};
-  std::thread producer([&] {
-    for (int i = 1; i <= 100'000; ++i) {
+  std::jthread producer([&](const std::stop_token& stop) {
+    for (int i = 1; i <= 100'000 && !stop.stop_requested(); ++i) {
       const PushOutcome outcome = ring.try_push(i);
       if (outcome.result == PushResult::kClosed) break;
       if (outcome.ok()) {
@@ -400,12 +418,13 @@ TEST(StealInbox, MultiProducerConservation) {
   using Inbox = StealInbox<int, 8>;
   std::atomic<long long> deposited_sum{0};
   std::atomic<int> deposited{0};
-  std::vector<std::thread> producers;
+  std::vector<std::jthread> producers;
   for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
+    producers.emplace_back([&, p](const std::stop_token& stop) {
       for (int i = 0; i < kPerProducer; ++i) {
         const int value = p * kPerProducer + i + 1;
         for (;;) {
+          if (stop.stop_requested()) return;
           const Inbox::Deposit outcome = inbox.try_deposit(value);
           if (outcome == Inbox::Deposit::kOk) {
             deposited_sum += value;
@@ -490,13 +509,14 @@ TEST(MpmcQueue, ConcurrentPushResultDepthInvariant) {
   constexpr std::size_t kCapacity = 64;
   MpmcQueue<int> queue{kCapacity};
   std::atomic<long long> pushed_sum{0};
-  std::vector<std::thread> producers;
+  std::vector<std::jthread> producers;
   std::atomic<bool> depth_ok{true};
   for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
+    producers.emplace_back([&, p](const std::stop_token& stop) {
       for (int i = 0; i < kPerProducer; ++i) {
         const int value = p * kPerProducer + i + 1;
         for (;;) {
+          if (stop.stop_requested()) return;
           const PushOutcome outcome = queue.push_result(value);
           if (outcome.ok()) {
             if (outcome.depth < 1 || outcome.depth > kCapacity) {
@@ -540,7 +560,7 @@ TEST(MpmcQueue, MultiThreadedSum) {
   constexpr int kPerProducer = 50'000;
   MpmcQueue<int> queue{256};
   std::atomic<long long> sum{0};
-  std::vector<std::thread> threads;
+  std::vector<std::jthread> threads;
   for (int p = 0; p < 3; ++p) {
     threads.emplace_back([&] {
       for (int i = 1; i <= kPerProducer; ++i) queue.push(i);

@@ -1,8 +1,9 @@
 // Unit tests for src/net: byte helpers, checksums, header round-trips,
 // flow parsing, Toeplitz RSS (against the published verification
-// vectors), packets, and pcap file I/O.
+// vectors and the bit-serial reference), packets, and pcap file I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <filesystem>
@@ -207,6 +208,56 @@ TEST(Rss, SpreadsFlowsAcrossQueues) {
     ++counts[rss_queue(flow, 6)];
   }
   for (const int c : counts) EXPECT_GT(c, 500);
+}
+
+// The table-driven rss_hash helpers against the bit-serial toeplitz_hash
+// reference, over seeded random tuples of every input length the NIC
+// hashes: IPv4 addresses (8 B), IPv4 + ports (12 B), IPv6 addresses
+// (32 B) and IPv6 + ports (36 B).
+TEST(Rss, TableMatchesBitSerialIpv4) {
+  Xoshiro256 rng{0x7AB1E};
+  for (int i = 0; i < 10'000; ++i) {
+    FlowKey flow;
+    flow.src_ip = Ipv4Addr{static_cast<std::uint32_t>(rng.next())};
+    flow.dst_ip = Ipv4Addr{static_cast<std::uint32_t>(rng.next())};
+    flow.src_port = static_cast<std::uint16_t>(rng.next());
+    flow.dst_port = static_cast<std::uint16_t>(rng.next());
+    std::array<std::uint8_t, 12> input{};
+    const std::span<std::byte> bytes = std::as_writable_bytes(std::span{input});
+    write_be32(bytes, 0, flow.src_ip.value());
+    write_be32(bytes, 4, flow.dst_ip.value());
+    write_be16(bytes, 8, flow.src_port);
+    write_be16(bytes, 10, flow.dst_port);
+
+    flow.proto = (i % 2 == 0) ? IpProto::kTcp : IpProto::kUdp;
+    ASSERT_EQ(rss_hash(flow), toeplitz_hash(input, kDefaultRssKey)) << i;
+    flow.proto = IpProto::kIcmp;  // addresses only
+    ASSERT_EQ(rss_hash(flow),
+              toeplitz_hash(std::span{input}.first(8), kDefaultRssKey))
+        << i;
+  }
+}
+
+TEST(Rss, TableMatchesBitSerialIpv6) {
+  Xoshiro256 rng{0x7AB1E6};
+  for (int i = 0; i < 10'000; ++i) {
+    std::array<std::uint8_t, 36> input{};
+    for (std::uint8_t& byte : input) byte = static_cast<std::uint8_t>(rng.next());
+    Ipv6Addr src;
+    Ipv6Addr dst;
+    std::copy_n(input.begin(), 16, src.octets.begin());
+    std::copy_n(input.begin() + 16, 16, dst.octets.begin());
+    const auto src_port =
+        static_cast<std::uint16_t>((input[32] << 8) | input[33]);
+    const auto dst_port =
+        static_cast<std::uint16_t>((input[34] << 8) | input[35]);
+    ASSERT_EQ(rss_hash_ipv6(src, dst, src_port, dst_port, true),
+              toeplitz_hash(input, kDefaultRssKey))
+        << i;
+    ASSERT_EQ(rss_hash_ipv6(src, dst, src_port, dst_port, false),
+              toeplitz_hash(std::span{input}.first(32), kDefaultRssKey))
+        << i;
+  }
 }
 
 TEST(WirePacket, MaterializesRealFrame) {

@@ -103,6 +103,68 @@ TEST_F(RxRingTest, MisuseThrows) {
   EXPECT_THROW(ring_.attach(DmaBuffer{}), std::invalid_argument);
 }
 
+TEST(RxRing, FilledCountMatchesRecountUnderOutOfOrderCompletion) {
+  // filled_count() reads a completion cursor; the reference recounts
+  // contiguous kFilled descriptors from the consume position by state.
+  // Random attach / begin / out-of-order complete / consume steps, with
+  // an occasional reset() while nothing is in flight.
+  constexpr std::uint32_t kSize = 16;
+  RxRing ring{kSize};
+  std::vector<std::byte> memory(kSize * 64);
+  const auto recount = [&ring](std::uint32_t from) {
+    std::uint32_t n = 0;
+    while (n < ring.size() &&
+           ring.state_at((from + n) % ring.size()) == RxDescState::kFilled) {
+      ++n;
+    }
+    return n;
+  };
+  Xoshiro256 rng{0xF111ED};
+  std::vector<std::uint32_t> in_flight;
+  std::uint32_t consume_at = 0;  // ring index of the consume cursor
+  std::uint64_t cookie = 0;
+  int resets = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    switch (rng.next_below(5)) {
+      case 0:
+        if (ring.empty_slots() > 0) {
+          ring.attach(DmaBuffer{{memory.data() + (cookie % kSize) * 64, 64},
+                                cookie});
+          ++cookie;
+        }
+        break;
+      case 1:
+        if (ring.can_receive()) in_flight.push_back(ring.begin_dma());
+        break;
+      case 2:
+        if (!in_flight.empty()) {
+          const std::size_t pick = rng.next_below(in_flight.size());
+          ring.complete_dma(in_flight[pick], RxWriteback{});
+          in_flight.erase(in_flight.begin() +
+                          static_cast<std::ptrdiff_t>(pick));
+        }
+        break;
+      case 3:
+        if (ring.has_filled()) {
+          ring.consume();
+          consume_at = (consume_at + 1) % kSize;
+        }
+        break;
+      case 4:
+        if (in_flight.empty() && rng.next_below(50) == 0) {
+          ring.reset();
+          consume_at = 0;
+          ++resets;
+          ASSERT_EQ(ring.filled_count(), 0u);
+        }
+        break;
+    }
+    ASSERT_EQ(ring.filled_count(), recount(consume_at)) << "step " << step;
+    ASSERT_EQ(ring.has_filled(), recount(consume_at) > 0) << "step " << step;
+  }
+  EXPECT_GT(resets, 0);
+}
+
 // --- steering ---
 
 TEST(Steering, RssIsPerFlowStable) {

@@ -1,6 +1,7 @@
-// Unit tests for the discrete-event substrate: scheduler ordering and
-// cancellation, simulated-core rate behaviour and priority starvation
-// (the receive-livelock ingredient), and the I/O bus model.
+// Unit tests for the discrete-event substrate: scheduler ordering,
+// cancellation and copy-free dispatch, simulated-core rate behaviour and
+// priority starvation (the receive-livelock ingredient), and the I/O bus
+// model.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -55,6 +56,125 @@ TEST(Scheduler, CancellationPreventsExecution) {
   EXPECT_FALSE(handle.pending());
   scheduler.run();
   EXPECT_EQ(fired, 0);
+}
+
+TEST(Scheduler, CancelAfterFireIsNoOp) {
+  Scheduler scheduler;
+  int fired = 0;
+  EventHandle handle = scheduler.schedule_at(Nanos{10}, [&] { ++fired; });
+  scheduler.schedule_at(Nanos{20}, [&] { fired += 10; });
+  scheduler.run_until(Nanos{15});
+  EXPECT_FALSE(handle.pending());
+  handle.cancel();  // the event already ran: nothing to cancel
+  EXPECT_EQ(scheduler.pending_events(), 1u);
+  scheduler.run();
+  EXPECT_EQ(fired, 11);
+}
+
+TEST(Scheduler, CancelTwiceIsSafe) {
+  Scheduler scheduler;
+  int fired = 0;
+  EventHandle first = scheduler.schedule_at(Nanos{10}, [&] { fired += 1; });
+  scheduler.schedule_at(Nanos{10}, [&] { fired += 10; });
+  first.cancel();
+  first.cancel();
+  EXPECT_EQ(scheduler.pending_events(), 1u);
+  EXPECT_EQ(scheduler.run(), 1u);
+  EXPECT_EQ(fired, 10);
+  EventHandle empty;  // default-constructed: no scheduler behind it
+  EXPECT_FALSE(empty.pending());
+  empty.cancel();
+}
+
+TEST(Scheduler, CancelKeepsOrderOfTheRest) {
+  Scheduler scheduler;
+  std::vector<int> order;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 8; ++i) {
+    handles.push_back(
+        scheduler.schedule_at(Nanos{(i * 7) % 5}, [&, i] { order.push_back(i); }));
+  }
+  handles[3].cancel();
+  handles[5].cancel();
+  scheduler.run();
+  // Times (i*7)%5 are 0,2,4,1,3,0,2,4; ties run in insertion order.
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 6, 4, 2, 7}));
+}
+
+TEST(Scheduler, NotPendingInsideOwnCallback) {
+  Scheduler scheduler;
+  EventHandle handle;
+  bool pending_inside = true;
+  handle = scheduler.schedule_at(Nanos{5}, [&] {
+    pending_inside = handle.pending();
+    handle.cancel();  // cancelling the running event is a no-op too
+  });
+  EXPECT_TRUE(handle.pending());
+  EXPECT_EQ(scheduler.run(), 1u);
+  EXPECT_FALSE(pending_inside);
+}
+
+TEST(Scheduler, HandleOutlivingSchedulerIsSafe) {
+  EventHandle handle;
+  {
+    Scheduler scheduler;
+    handle = scheduler.schedule_at(Nanos{10}, [] {});
+    EXPECT_TRUE(handle.pending());
+  }
+  EXPECT_FALSE(handle.pending());
+  handle.cancel();
+}
+
+TEST(Scheduler, SameTimestampRunsInInsertionOrderAcrossReentry) {
+  // Events a callback schedules at the current time run after the
+  // events already queued for that time, in the order scheduled.
+  Scheduler scheduler;
+  std::vector<int> order;
+  scheduler.schedule_at(Nanos{7}, [&] {
+    order.push_back(0);
+    scheduler.schedule_at(Nanos{7}, [&] { order.push_back(3); });
+    scheduler.schedule_after(Nanos{0}, [&] { order.push_back(4); });
+  });
+  scheduler.schedule_at(Nanos{7}, [&] { order.push_back(1); });
+  scheduler.schedule_at(Nanos{7}, [&] { order.push_back(2); });
+  scheduler.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+/// Counts copies of itself; moves are free.  A scheduler that copies an
+/// event (or its callback) on the way through shows up as copies > 0.
+struct CopyCounter {
+  int* copies;
+  int* calls;
+  CopyCounter(int* c, int* k) : copies(c), calls(k) {}
+  CopyCounter(const CopyCounter& other)
+      : copies(other.copies), calls(other.calls) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&& other) noexcept = default;
+  CopyCounter& operator=(const CopyCounter& other) {
+    copies = other.copies;
+    calls = other.calls;
+    ++*copies;
+    return *this;
+  }
+  CopyCounter& operator=(CopyCounter&&) noexcept = default;
+  ~CopyCounter() = default;
+  void operator()() const { ++*calls; }
+};
+
+TEST(Scheduler, ScheduleAndStepMakeNoCopies) {
+  Scheduler scheduler;
+  int copies = 0;
+  int calls = 0;
+  // Enough events that the heap sifts them around.
+  for (int i = 0; i < 64; ++i) {
+    scheduler.schedule_at(Nanos{(i * 37) % 64}, CopyCounter{&copies, &calls});
+  }
+  while (scheduler.step()) {
+  }
+  EXPECT_EQ(calls, 64);
+  EXPECT_EQ(copies, 0);
 }
 
 TEST(Scheduler, CallbackMaySchedule) {
