@@ -1,14 +1,10 @@
 // Latency-vs-throughput sweep over the chunk-journey pipeline: offered
-// load stepped as a fraction of the 64-byte wire rate, in three receive
+// load stepped as a fraction of the 64-byte wire rate, in two receive
 // modes —
 //
-//   blocking:    the harness fabric on the mutex+condvar capture-queue
-//                pair (HandoffMode::kMutex): every chunk handoff pays
-//                the lock plus a condvar wakeup before the pkt_handler
-//                runs;
-//   nonblocking: the same fabric on the lock-free SPSC-ring/steal-inbox
-//                handoff (HandoffMode::kLockFree, the engine default) —
-//                no lock, no wakeup detour;
+//   nonblocking: the harness fabric over the engine's lock-free
+//                SPSC-ring/steal-inbox handoff, the pkt_handler kicked
+//                as each chunk lands;
 //   polling:     an application draining try_next_batch() on a fixed
 //                20 us timer regardless of arrivals, trading CPU for
 //                the poll-period latency floor.
@@ -18,8 +14,7 @@
 // rate, and writes the whole sweep to BENCH_latency.json (override
 // with --out=FILE).  --mode=NAME restricts the sweep to one mode.
 // Accepts the standard --metrics-out/--trace-out flags; the last run
-// wins those files.  CI gates on nonblocking e2e p99 <= blocking at
-// every load.
+// wins those files.
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -75,17 +70,13 @@ trace::ConstantRateConfig traffic_at(double load) {
   return config;
 }
 
-/// Blocking / nonblocking modes: the full Experiment harness
-/// (pkt_handler driven by batch delivery) over the selected capture-
-/// queue handoff — kMutex pays lock + condvar wakeup per chunk,
-/// kLockFree hands off through the SPSC ring.
-SweepPoint run_harness(std::string_view mode, HandoffMode handoff,
-                       double load, const apps::TelemetryFlags* flags) {
+/// Nonblocking mode: the full Experiment harness (pkt_handler driven by
+/// batch delivery).
+SweepPoint run_harness(double load, const apps::TelemetryFlags* flags) {
   apps::ExperimentConfig config;
   config.engine.kind = apps::EngineKind::kWirecapBasic;
   config.engine.cells_per_chunk = 64;
   config.engine.chunk_count = 64;
-  config.engine.handoff = handoff;
   config.num_queues = 1;
   config.x = 0;
   if (flags) flags->apply(config);
@@ -99,7 +90,7 @@ SweepPoint run_harness(std::string_view mode, HandoffMode handoff,
   if (flags) flags->write(experiment.telemetry());
 
   SweepPoint point;
-  point.mode = std::string(mode);
+  point.mode = "nonblocking";
   point.load = load;
   point.offered_pps = source.rate().per_second();
   point.delivered = result.delivered;
@@ -200,17 +191,12 @@ int run(const apps::TelemetryFlags& flags, const std::string& out_path,
   std::printf("  %-11s %5s %11s %9s %9s %9s %9s %9s\n", "mode", "load",
               "drop", "e2e p50", "e2e p99", "e2e p999", "qwait p99",
               "deliver99");
-  for (const std::string_view mode : {"blocking", "nonblocking", "polling"}) {
+  for (const std::string_view mode : {"nonblocking", "polling"}) {
     if (!mode_filter.empty() && mode != mode_filter) continue;
     for (const double load : loads) {
-      SweepPoint point;
-      if (mode == "blocking") {
-        point = run_harness(mode, HandoffMode::kMutex, load, &flags);
-      } else if (mode == "nonblocking") {
-        point = run_harness(mode, HandoffMode::kLockFree, load, &flags);
-      } else {
-        point = run_polling(load);
-      }
+      const SweepPoint point = mode == "nonblocking"
+                                   ? run_harness(load, &flags)
+                                   : run_polling(load);
       std::printf("  %-11s %5.2f %11s %7.1fus %7.1fus %7.1fus %7.1fus "
                   "%7.1fus\n",
                   point.mode.c_str(), point.load,
@@ -226,8 +212,8 @@ int run(const apps::TelemetryFlags& flags, const std::string& out_path,
       points.push_back(point);
     }
   }
-  note("blocking pays lock + condvar wakeup per chunk; nonblocking rides "
-       "the SPSC ring; polling pays the 20us timer floor");
+  note("nonblocking rides the SPSC ring; polling pays the 20us timer "
+       "floor");
   write_json(out_path, points);
   std::printf("  -> %s\n", out_path.c_str());
   return 0;
@@ -249,11 +235,11 @@ int main(int argc, char** argv) {
       mode_filter = argv[++i];
     }
   }
-  if (!mode_filter.empty() && mode_filter != "blocking" &&
-      mode_filter != "nonblocking" && mode_filter != "polling") {
+  if (!mode_filter.empty() && mode_filter != "nonblocking" &&
+      mode_filter != "polling") {
     std::fprintf(stderr,
-                 "bench_latency: unknown --mode '%s' (expected blocking, "
-                 "nonblocking or polling)\n",
+                 "bench_latency: unknown --mode '%s' (expected nonblocking "
+                 "or polling)\n",
                  mode_filter.c_str());
     return 2;
   }

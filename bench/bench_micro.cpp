@@ -1,8 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the performance-critical
-// primitives: SPSC work queues, the cBPF interpreters (classic and
-// pre-decoded), the Toeplitz RSS hash, internet checksum, frame
-// building, the chunk capture/recycle driver ops, and the
-// discrete-event scheduler itself.
+// primitives: the cBPF interpreters (classic and pre-decoded), the
+// Toeplitz RSS hash, internet checksum, frame building, the chunk
+// capture/recycle driver ops, and the discrete-event scheduler itself.
 //
 // `bench_micro --compare-batch[=OUT.json]` runs the batched-vs-
 // per-packet delivery comparison instead (see run_compare_batch below)
@@ -23,7 +22,6 @@
 #include "bpf/codegen.hpp"
 #include "bpf/predecode.hpp"
 #include "bpf/vm.hpp"
-#include "common/spsc_queue.hpp"
 #include "driver/wirecap_driver.hpp"
 #include "engines/factory.hpp"
 #include "net/checksum.hpp"
@@ -40,17 +38,6 @@
 namespace {
 
 using namespace wirecap;
-
-void BM_SpscQueuePushPop(benchmark::State& state) {
-  SpscQueue<std::uint64_t> queue{1024};
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    queue.try_push(i++);
-    benchmark::DoNotOptimize(queue.try_pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SpscQueuePushPop);
 
 /// The NIC's per-packet RSS hash (table-driven, 12-byte IPv4 tuple).
 void BM_RssHash(benchmark::State& state) {

@@ -30,8 +30,8 @@ inline apps::PipelineFlags& pipeline_flags() {
   return flags;
 }
 
-/// The --offload-policy/--handoff/--tenants/--tenant-quota flags parsed
-/// by telemetry_main(); enum conversion (with the allowed set in the
+/// The --offload-policy/--tenants/--tenant-quota flags parsed by
+/// telemetry_main(); enum conversion (with the allowed set in the
 /// error) happens at the CLI boundary, configs carry enums only.
 inline apps::EngineFlags& engine_flags() {
   static apps::EngineFlags flags;

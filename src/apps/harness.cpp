@@ -56,7 +56,6 @@ std::unique_ptr<engines::CaptureEngine> make_engine(
   config.chunk_count = params.chunk_count;
   config.offload_threshold = params.offload_threshold;
   config.offload_policy = params.offload_policy;
-  config.handoff = params.handoff;
   config.nic_numa_node = params.nic_numa_node;
   config.queue_numa_node = params.queue_numa_node;
   return engines::make_engine(to_string(params.kind), nic, config);
@@ -291,7 +290,6 @@ void PipelineFlags::apply(ExperimentConfig& config) const {
 EngineFlags parse_engine_flags(int argc, char** argv) {
   EngineFlags flags;
   constexpr std::string_view kPolicy = "--offload-policy=";
-  constexpr std::string_view kHandoff = "--handoff=";
   constexpr std::string_view kTenants = "--tenants=";
   constexpr std::string_view kQuota = "--tenant-quota=";
   for (int i = 1; i < argc; ++i) {
@@ -299,8 +297,6 @@ EngineFlags parse_engine_flags(int argc, char** argv) {
     if (arg.starts_with(kPolicy)) {
       flags.offload_policy =
           parse_offload_policy(arg.substr(kPolicy.size()));
-    } else if (arg.starts_with(kHandoff)) {
-      flags.handoff = parse_handoff_mode(arg.substr(kHandoff.size()));
     } else if (arg.starts_with(kTenants)) {
       flags.tenants = static_cast<std::uint32_t>(
           std::stoul(std::string(arg.substr(kTenants.size()))));
@@ -314,7 +310,6 @@ EngineFlags parse_engine_flags(int argc, char** argv) {
 
 void EngineFlags::apply(EngineParams& params) const {
   if (offload_policy) params.offload_policy = *offload_policy;
-  if (handoff) params.handoff = *handoff;
   if (tenants) params.tenants = std::max(1u, *tenants);
   if (tenant_quota) params.tenant_quota = *tenant_quota;
 }

@@ -46,9 +46,6 @@ struct EngineParams {
   std::uint32_t chunk_count = 100;
   double offload_threshold = 0.6;
   core::OffloadPolicy offload_policy = core::OffloadPolicy::kLeastBusy;
-  /// Capture-queue handoff (WireCAP modes): lock-free SPSC/steal fast
-  /// path or the mutex+condvar blocking baseline.
-  HandoffMode handoff = HandoffMode::kLockFree;
   /// Tenants sharing the NIC (kWirecapAdvanced only): the queues are
   /// partitioned into `tenants` contiguous slices, each registered as
   /// its own TenantSpec/buddy group.  1 keeps the paper's single
@@ -161,7 +158,6 @@ struct PipelineFlags {
 
 /// The engine command-line surface:
 ///   --offload-policy=NAME   least-busy (default) | random | round-robin
-///   --handoff=NAME          lock-free (default) | mutex
 ///   --tenants=N             partition the queues into N tenant groups
 ///   --tenant-quota=N        per-tenant chunk quota (0 = uncapped)
 /// Strings are converted (and unknown values rejected with the allowed
@@ -169,17 +165,16 @@ struct PipelineFlags {
 /// EngineConfig carry enums only.
 struct EngineFlags {
   std::optional<core::OffloadPolicy> offload_policy;
-  std::optional<HandoffMode> handoff;
   std::optional<std::uint32_t> tenants;
   std::optional<std::uint32_t> tenant_quota;
 
   [[nodiscard]] bool any() const {
-    return offload_policy || handoff || tenants || tenant_quota;
+    return offload_policy || tenants || tenant_quota;
   }
   void apply(EngineParams& params) const;
 };
 
-/// Throws std::invalid_argument on an unknown policy/mode name.
+/// Throws std::invalid_argument on an unknown policy name.
 [[nodiscard]] EngineFlags parse_engine_flags(int argc, char** argv);
 
 struct QueueResult {

@@ -1,5 +1,5 @@
 // Shared vocabulary of the chunk-handoff layer: how a push can end,
-// what it reports, and which handoff implementation an engine runs.
+// what it reports, and how an overloaded queue picks an offload target.
 //
 // `PushResult` exists because a bool cannot distinguish "the queue is
 // full" (backpressure: park the chunk and retry) from "the queue is
@@ -37,25 +37,6 @@ struct PushOutcome {
   [[nodiscard]] constexpr bool ok() const { return result == PushResult::kOk; }
 };
 
-/// Which chunk-handoff implementation a WireCAP engine runs between its
-/// capture threads and application threads.
-enum class HandoffMode : std::uint8_t {
-  /// Mutex+condvar MpmcQueue per capture queue.  Required for the §5e
-  /// shared-queue paradigm (several application threads reading one
-  /// work-queue pair) and the blocking-capture baseline; buddy offload
-  /// pushes straight into the target's queue.
-  kMutex,
-  /// Lock-free fast path: a cache-line-padded SpscRing between each
-  /// queue's capture thread and its (single) application thread, plus a
-  /// per-queue StealInbox through which buddies deposit offloaded
-  /// chunks with a CAS claim instead of taking the target's lock.
-  kLockFree,
-};
-
-[[nodiscard]] constexpr const char* to_string(HandoffMode mode) {
-  return mode == HandoffMode::kMutex ? "mutex" : "lock-free";
-}
-
 /// How an overloaded capture thread picks the buddy to offload to.
 /// The paper's design targets "an idle or less busy receive queue"
 /// (least-busy); the alternatives exist for the ablation benchmarks.
@@ -76,7 +57,7 @@ enum class OffloadPolicy : std::uint8_t {
   return "least-busy";
 }
 
-// CLI-boundary parsers.  Engine configs carry the enums; only argv
+// CLI-boundary parser.  Engine configs carry the enum; only argv
 // handling converts strings, and an unknown value fails fast with the
 // allowed set spelled out.
 
@@ -88,13 +69,6 @@ enum class OffloadPolicy : std::uint8_t {
   throw std::invalid_argument("unknown offload policy \"" +
                               std::string(text) +
                               "\" (allowed: least-busy, random, round-robin)");
-}
-
-[[nodiscard]] inline HandoffMode parse_handoff_mode(std::string_view text) {
-  if (text == "lock-free") return HandoffMode::kLockFree;
-  if (text == "mutex") return HandoffMode::kMutex;
-  throw std::invalid_argument("unknown handoff mode \"" + std::string(text) +
-                              "\" (allowed: lock-free, mutex)");
 }
 
 }  // namespace wirecap

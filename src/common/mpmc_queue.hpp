@@ -2,9 +2,8 @@
 // non-blocking interfaces.
 //
 // Used where multiple threads share one endpoint: the chunk free-list of a
-// ring buffer pool in the real-thread pipeline (recycled by any application
-// thread, consumed by the driver), and the paradigm of §5e where several
-// application threads read one receive queue's work-queue pair.  A
+// ring buffer pool (recycled by any application thread, consumed by the
+// capture thread) and the live examples' real-thread queues.  A
 // mutex+condvar implementation is deliberately chosen over a lock-free one:
 // these paths are not per-packet (they are per-*chunk*, i.e. amortized over
 // M packets), and the blocking semantics match the paper's blocking capture

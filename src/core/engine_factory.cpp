@@ -15,9 +15,9 @@ namespace wirecap::engines {
 
 namespace {
 
-// Policy/handoff arrive as enums: strings are converted once at the
-// CLI boundary (parse_offload_policy / parse_handoff_mode in
-// common/handoff.hpp, which throw listing the allowed sets).
+// The offload policy arrives as an enum: strings are converted once at
+// the CLI boundary (parse_offload_policy in common/handoff.hpp, which
+// throws listing the allowed set).
 std::unique_ptr<CaptureEngine> make_wirecap(nic::MultiQueueNic& nic,
                                             const EngineConfig& config,
                                             bool advanced) {
@@ -25,7 +25,6 @@ std::unique_ptr<CaptureEngine> make_wirecap(nic::MultiQueueNic& nic,
   wirecap_config.cells_per_chunk = config.cells_per_chunk;
   wirecap_config.chunk_count = config.chunk_count;
   wirecap_config.offload_policy = config.offload_policy;
-  wirecap_config.handoff = config.handoff;
   wirecap_config.nic_numa_node = config.nic_numa_node;
   wirecap_config.queue_numa_node = config.queue_numa_node;
   if (advanced) {

@@ -60,9 +60,6 @@ void WirecapEngine::open(std::uint32_t queue, sim::SimCore& /*app_core*/) {
       credit_charged(meta.ring_id, 1);
     }
   };
-  if (qs.capture_queue) {
-    while (auto meta = qs.capture_queue->try_pop()) recycle_stale(*meta);
-  }
   if (qs.capture_ring) {
     driver::ChunkMeta meta;
     while (qs.capture_ring->try_pop(meta)) recycle_stale(meta);
@@ -75,24 +72,11 @@ void WirecapEngine::open(std::uint32_t queue, sim::SimCore& /*app_core*/) {
     while (auto meta = qs.recycle_queue->try_pop()) recycle_stale(*meta);
   }
 
-  if (config_.handoff == HandoffMode::kLockFree) {
-    // The SPSC ring carries only this queue's own chunks (buddies
-    // deposit into the inbox instead), so R slots always suffice.
-    qs.capture_ring =
-        std::make_unique<SpscRing<driver::ChunkMeta>>(config_.chunk_count);
-    qs.steal_inbox = std::make_unique<StealInbox<driver::ChunkMeta>>();
-    qs.capture_queue.reset();
-  } else {
-    // MPMC capture queues may receive chunks from every buddy, so size
-    // them for the whole NIC's chunk population.
-    const std::size_t capacity =
-        static_cast<std::size_t>(config_.chunk_count) *
-        nic_.config().num_rx_queues;
-    qs.capture_queue =
-        std::make_unique<MpmcQueue<driver::ChunkMeta>>(capacity);
-    qs.capture_ring.reset();
-    qs.steal_inbox.reset();
-  }
+  // The SPSC ring carries only this queue's own chunks (buddies deposit
+  // into the inbox instead), so R slots always suffice.
+  qs.capture_ring =
+      std::make_unique<SpscRing<driver::ChunkMeta>>(config_.chunk_count);
+  qs.steal_inbox = std::make_unique<StealInbox<driver::ChunkMeta>>();
   qs.recycle_queue = std::make_unique<MpmcQueue<driver::ChunkMeta>>(
       config_.chunk_count);
 
@@ -121,9 +105,10 @@ void WirecapEngine::close(std::uint32_t queue) {
   qs.data_callback = nullptr;
 
   // Drain the work-queue pair and `pending` back to the owning pools
-  // while the old pool is still alive.  The recycle queue and `pending`
-  // only ever hold this ring's chunks; the capture queue may also hold
-  // chunks buddies offloaded in, which go home to *their* pools.
+  // while the old pool is still alive.  The ring, the recycle queue and
+  // `pending` only ever hold this ring's chunks; the steal inbox may
+  // also hold chunks buddies offloaded in, which go home to *their*
+  // pools.
   const auto recycle_to_owner = [this](const driver::ChunkMeta& meta) {
     const Status status = queues_[meta.ring_id].driver->recycle(meta);
     if (!status.is_ok()) {
@@ -131,28 +116,18 @@ void WirecapEngine::close(std::uint32_t queue) {
     }
     credit_charged(meta.ring_id, 1);
   };
-  if (qs.capture_queue) {
-    while (auto meta = qs.capture_queue->try_pop()) recycle_to_owner(*meta);
-  }
-  if (qs.capture_ring) {
-    driver::ChunkMeta meta;
-    while (qs.capture_ring->try_pop(meta)) recycle_to_owner(meta);
-  }
-  if (qs.steal_inbox) {
-    // Buddies' deposits we never claimed go home to their pools.
-    driver::ChunkMeta meta;
-    while (qs.steal_inbox->try_claim(meta)) recycle_to_owner(meta);
-  }
+  driver::ChunkMeta drained;
+  while (qs.capture_ring->try_pop(drained)) recycle_to_owner(drained);
+  while (qs.steal_inbox->try_claim(drained)) recycle_to_owner(drained);
   for (const driver::ChunkMeta& meta : qs.pending) recycle_to_owner(meta);
   qs.pending.clear();
   drop_current(qs);
 
   // Chunks this ring offloaded to buddies that are still queued (or
   // being read) over there reference the pool being torn down: pull
-  // them back and recycle them before it disappears.  In lock-free mode
-  // offloads only ever sit in buddies' steal inboxes (their SPSC rings
-  // carry nothing but their own chunks); in mutex mode they sit in
-  // buddies' MPMC capture queues.
+  // them back and recycle them before it disappears.  Offloads only
+  // ever sit in buddies' steal inboxes (their SPSC rings carry nothing
+  // but their own chunks).
   for (QueueState& other : queues_) {
     if (&other == &qs) continue;
     if (other.steal_inbox) {
@@ -168,21 +143,6 @@ void WirecapEngine::close(std::uint32_t queue) {
       using Inbox = StealInbox<driver::ChunkMeta>;
       for (const driver::ChunkMeta& keep : kept) {
         if (other.steal_inbox->try_deposit(keep) != Inbox::Deposit::kOk) {
-          throw std::logic_error("WirecapEngine: close sweep lost a chunk");
-        }
-      }
-    }
-    if (other.capture_queue) {
-      std::deque<driver::ChunkMeta> kept;
-      while (auto meta = other.capture_queue->try_pop()) {
-        if (meta->ring_id == queue) {
-          recycle_to_owner(*meta);
-        } else {
-          kept.push_back(*meta);
-        }
-      }
-      for (const driver::ChunkMeta& meta : kept) {
-        if (!other.capture_queue->try_push(meta)) {
           throw std::logic_error("WirecapEngine: close sweep lost a chunk");
         }
       }
@@ -221,8 +181,8 @@ void WirecapEngine::drop_current(QueueState& qs) {
 
 engines::TenantId WirecapEngine::register_tenant(
     const engines::TenantSpec& spec) {
-  // The old set_buddy_group contract, preserved: grouped queues must be
-  // open (out-of-range ids surface as std::out_of_range from at()).
+  // Grouped queues must be open (out-of-range ids surface as
+  // std::out_of_range from at()).
   for (const std::uint32_t q : spec.queues) {
     if (!queues_.at(q).open) {
       throw std::logic_error("WirecapEngine: buddy queue not open");
@@ -232,18 +192,6 @@ engines::TenantId WirecapEngine::register_tenant(
   rebuild_tenant_wiring();
   bind_tenant_telemetry(id);
   return id;
-}
-
-void WirecapEngine::set_buddy_group(const std::vector<std::uint32_t>& queues) {
-  if (queues.empty()) return;  // the old call was a no-op on an empty group
-  engines::TenantSpec spec;
-  spec.queues = queues;
-  // Keyed on the lowest member so repeated calls over an evolving group
-  // upsert one tenant, while disjoint groups registered by separate
-  // calls coexist — both idioms the old API supported.
-  spec.name = "legacy-q" + std::to_string(*std::min_element(queues.begin(),
-                                                            queues.end()));
-  register_tenant(spec);
 }
 
 void WirecapEngine::rebuild_tenant_wiring() {
@@ -424,9 +372,7 @@ void WirecapEngine::poll(std::uint32_t queue) {
 Nanos WirecapEngine::dispatch(std::uint32_t queue,
                               const driver::ChunkMeta& meta) {
   QueueState& qs = queues_[queue];
-  const bool lockfree = config_.handoff == HandoffMode::kLockFree;
-  Nanos handoff_cost =
-      lockfree ? costs_.lockfree_handoff_cost : costs_.mutex_handoff_cost;
+  Nanos handoff_cost = costs_.lockfree_handoff_cost;
   std::uint32_t target = queue;
 
   // A queue's load toward the threshold T is its capture-queue depth
@@ -495,52 +441,31 @@ Nanos WirecapEngine::dispatch(std::uint32_t queue,
   }
 
   // Remote placement never blocks and never parks: a steal deposit
-  // (lock-free) or a closed/full-aware push (mutex) either lands the
-  // chunk or the loser falls home in one step.  Only the home queue may
-  // park a chunk in `pending` — backpressure there is real (the one
-  // bound consumer is behind), whereas a closed or contended buddy is
-  // not a reason to hold the chunk hostage.
-  std::size_t depth_at_push = 0;
-  bool depth_known = false;
+  // either lands the chunk or the loser falls home in one step.  Only
+  // the home queue may park a chunk in `pending` — backpressure there
+  // is real (the one bound consumer is behind), whereas a full or
+  // contended buddy inbox is not a reason to hold the chunk hostage.
   if (target != queue) {
-    bool placed = false;
+    using Inbox = StealInbox<driver::ChunkMeta>;
     QueueState& ts = queues_[target];
-    if (lockfree) {
-      using Inbox = StealInbox<driver::ChunkMeta>;
-      switch (ts.steal_inbox->try_deposit(meta)) {
-        case Inbox::Deposit::kOk:
-          placed = true;
-          ++ts.extra.handoff_steals;
-          break;
-        case Inbox::Deposit::kContended:
-          // Lost the CAS race against another depositor mid-slot: the
-          // loser falls home rather than spinning on the buddy.
-          ++qs.extra.handoff_contended;
-          break;
-        case Inbox::Deposit::kFull:
-          break;
-      }
-    } else {
-      const PushOutcome outcome = ts.capture_queue->push_result(meta);
-      placed = outcome.ok();
-      if (placed) {
-        depth_at_push = outcome.depth;
-        depth_known = true;
-      }
-      // kFull and kClosed both fall home immediately; kClosed in
-      // particular must not reach `pending`, where it would inflate
-      // pending_high_water waiting for backpressure that never clears.
-    }
-    if (!placed) {
-      ++qs.extra.handoff_fallbacks;
-      target = queue;
+    switch (ts.steal_inbox->try_deposit(meta)) {
+      case Inbox::Deposit::kOk:
+        ++ts.extra.handoff_steals;
+        break;
+      case Inbox::Deposit::kContended:
+        // Lost the CAS race against another depositor mid-slot: the
+        // loser falls home rather than spinning on the buddy.
+        ++qs.extra.handoff_contended;
+        [[fallthrough]];
+      case Inbox::Deposit::kFull:
+        ++qs.extra.handoff_fallbacks;
+        target = queue;
+        break;
     }
   }
 
   if (target == queue) {
-    const PushOutcome outcome = lockfree
-                                    ? qs.capture_ring->try_push(meta)
-                                    : qs.capture_queue->push_result(meta);
+    const PushOutcome outcome = qs.capture_ring->try_push(meta);
     if (!outcome.ok()) {
       // Nowhere to put it: hold the chunk; backpressure will show up as
       // pool exhaustion and, eventually, capture drops at the NIC.
@@ -550,8 +475,13 @@ Nanos WirecapEngine::dispatch(std::uint32_t queue,
                    static_cast<std::uint64_t>(qs.pending.size()));
       return handoff_cost;
     }
-    depth_at_push = outcome.depth;
-    depth_known = true;
+    // High-water from the depth the push itself observed — a second
+    // size() read can race a concurrent consumer and miss the peak this
+    // push created.  (Steal deposits have no ordered depth; the owner's
+    // drain and the sampler cover the inbox's ≤8 slots.)
+    qs.extra.capture_queue_high_water =
+        std::max(qs.extra.capture_queue_high_water,
+                 static_cast<std::uint64_t>(outcome.depth));
   }
 
   if (latency_ && latency_->enabled()) [[unlikely]] {
@@ -575,81 +505,41 @@ Nanos WirecapEngine::dispatch(std::uint32_t queue,
                   instant("chunk.offload", "engine", scheduler_.now(), queue,
                           "to_queue", target, "chunk", meta.chunk_id));
   }
+  // The consumer is poll-driven: kicking it is a plain call in virtual
+  // time.
   QueueState& ts = queues_[target];
-  // High-water from the depth the push itself observed — a second
-  // size() read here can race a concurrent consumer and miss the peak
-  // this push created.  (Steal deposits have no ordered depth; the
-  // owner's drain and the sampler cover the inbox's ≤8 slots.)
-  if (depth_known) {
-    ts.extra.capture_queue_high_water =
-        std::max(ts.extra.capture_queue_high_water,
-                 static_cast<std::uint64_t>(depth_at_push));
-  }
-  if (ts.data_callback) {
-    if (lockfree) {
-      // Non-blocking mode: the consumer is poll-driven; kicking it is a
-      // plain call in virtual time.
-      ts.data_callback();
-    } else {
-      // Blocking mode: the consumer sleeps on the condvar, so delivery
-      // pays the futex wake + scheduler dispatch before it runs.
-      scheduler_.schedule_after(costs_.condvar_wakeup_delay, [this, target] {
-        QueueState& sleeper = queues_[target];
-        if (sleeper.open && sleeper.data_callback) sleeper.data_callback();
-      });
-    }
-  }
+  if (ts.data_callback) ts.data_callback();
   return handoff_cost;
 }
 
 std::optional<driver::ChunkMeta> WirecapEngine::pop_capture(QueueState& qs) {
-  if (qs.capture_ring) {
-    // Own traffic first (the SPSC fast path), then offloads buddies
-    // deposited: claiming a ready slot is the consumer half of the
-    // work-stealing handoff.
-    driver::ChunkMeta meta;
-    if (qs.capture_ring->try_pop(meta)) return meta;
-    if (qs.steal_inbox && qs.steal_inbox->try_claim(meta)) return meta;
-    return std::nullopt;
+  // Own traffic first (the SPSC fast path), then offloads buddies
+  // deposited: claiming a ready slot is the consumer half of the
+  // work-stealing handoff.
+  driver::ChunkMeta meta;
+  if (qs.capture_ring->try_pop(meta) || qs.steal_inbox->try_claim(meta)) {
+    return meta;
   }
-  return qs.capture_queue ? qs.capture_queue->try_pop() : std::nullopt;
+  return std::nullopt;
 }
 
 std::size_t WirecapEngine::capture_depth(const QueueState& qs) const {
-  if (qs.capture_ring) {
-    return qs.capture_ring->size() +
-           (qs.steal_inbox ? qs.steal_inbox->size_approx() : 0);
-  }
-  return qs.capture_queue ? qs.capture_queue->size() : 0;
+  if (!qs.capture_ring) return 0;
+  return qs.capture_ring->size() + qs.steal_inbox->size_approx();
 }
 
 std::vector<driver::ChunkMeta> WirecapEngine::capture_metas(
     const QueueState& qs) const {
-  std::vector<driver::ChunkMeta> metas;
-  if (qs.capture_ring) {
-    metas = qs.capture_ring->snapshot();
-    if (qs.steal_inbox) {
-      for (const driver::ChunkMeta& meta : qs.steal_inbox->snapshot()) {
-        metas.push_back(meta);
-      }
-    }
-    return metas;
-  }
-  if (qs.capture_queue) {
-    for (const driver::ChunkMeta& meta : qs.capture_queue->snapshot()) {
-      metas.push_back(meta);
-    }
+  if (!qs.capture_ring) return {};
+  std::vector<driver::ChunkMeta> metas = qs.capture_ring->snapshot();
+  for (const driver::ChunkMeta& meta : qs.steal_inbox->snapshot()) {
+    metas.push_back(meta);
   }
   return metas;
 }
 
-std::optional<engines::CaptureView> WirecapEngine::try_next(
-    std::uint32_t queue) {
-  QueueState& qs = queues_.at(queue);
-  if (!qs.open) return std::nullopt;
-  while (!qs.current) {
-    auto meta = pop_capture(qs);
-    if (!meta) return std::nullopt;
+bool WirecapEngine::acquire_chunk(std::uint32_t queue, QueueState& qs) {
+  while (auto meta = pop_capture(qs)) {
     if (meta->pkt_count == 0) {
       // Defensive: an empty capture (nothing to deliver) goes straight
       // home rather than minting a zero-packet view.
@@ -669,82 +559,64 @@ std::optional<engines::CaptureView> WirecapEngine::try_next(
     WIRECAP_TRACE(tracer_,
                   instant("chunk.dequeue", "app", scheduler_.now(), queue,
                           "chunk", meta->chunk_id, "pkts", meta->pkt_count));
+    return true;
   }
+  return false;
+}
 
+void WirecapEngine::serve_views(QueueState& qs,
+                                std::span<engines::CaptureView> views) {
   CurrentChunk& current = *qs.current;
   const driver::ChunkMeta meta = current.meta;
-  const std::uint32_t cell_index = meta.first_cell + current.cursor;
+  const std::uint64_t epoch = queues_[meta.ring_id].epoch;
   driver::RingBufferPool& pool = queues_[meta.ring_id].driver->pool();
-  const driver::CellInfo& info = pool.cell_info(meta.chunk_id, cell_index);
-
-  engines::CaptureView view;
-  view.bytes = pool.cell(meta.chunk_id, cell_index).first(info.length);
-  view.wire_len = info.wire_length;
-  view.timestamp = Nanos{info.timestamp_ns};
-  view.seq = info.seq;
-  view.handle = make_handle(meta.ring_id, queues_[meta.ring_id].epoch,
-                            meta.chunk_id, cell_index);
-
-  ++current.cursor;
+  const auto take = static_cast<std::uint32_t>(views.size());
+  // Resolve the chunk once — one bounds check, two base pointers — then
+  // fill views by plain indexing instead of two checked pool calls per
+  // cell.  This is the delivery half of the batch path's amortization.
+  const std::span<std::byte> bytes = pool.chunk_bytes(meta.chunk_id);
+  const std::span<const driver::CellInfo> cells =
+      pool.chunk_cells(meta.chunk_id);
+  const std::uint32_t cell_size = pool.cell_size();
+  for (std::uint32_t i = 0; i < take; ++i) {
+    const std::uint32_t cell_index = meta.first_cell + current.cursor + i;
+    const driver::CellInfo& info = cells[cell_index];
+    engines::CaptureView& view = views[i];
+    view.bytes = bytes.subspan(
+        static_cast<std::size_t>(cell_index) * cell_size, info.length);
+    view.wire_len = info.wire_length;
+    view.timestamp = Nanos{info.timestamp_ns};
+    view.seq = info.seq;
+    view.handle = make_handle(meta.ring_id, epoch, meta.chunk_id, cell_index);
+  }
+  current.cursor += take;
   if (current.cursor == meta.pkt_count) qs.current.reset();
-  ++qs.stats.delivered;
+  qs.stats.delivered += take;  // one accounting update per call
+}
+
+std::optional<engines::CaptureView> WirecapEngine::try_next(
+    std::uint32_t queue) {
+  QueueState& qs = queues_.at(queue);
+  if (!qs.open || (!qs.current && !acquire_chunk(queue, qs))) {
+    return std::nullopt;
+  }
+  engines::CaptureView view;
+  serve_views(qs, {&view, 1});
   return view;
 }
 
 std::optional<engines::ChunkCaptureView> WirecapEngine::try_next_chunk(
     std::uint32_t queue, std::size_t /*max_packets*/) {
   QueueState& qs = queues_.at(queue);
-  if (!qs.open) return std::nullopt;
-
-  driver::ChunkMeta meta;
-  std::uint32_t start_cursor = 0;
-  if (qs.current) {
-    // A chunk partially consumed through try_next(): hand over its
-    // remaining packets.  Their refcount share is already registered.
-    meta = qs.current->meta;
-    start_cursor = qs.current->cursor;
-    qs.current.reset();
-  } else {
-    for (;;) {
-      auto popped = pop_capture(qs);
-      if (!popped) return std::nullopt;
-      if (popped->pkt_count == 0) {
-        if (queues_[popped->ring_id].driver->recycle(*popped).is_ok()) {
-          credit_charged(popped->ring_id, 1);
-        }
-        continue;
-      }
-      meta = *popped;
-      break;
-    }
-    const std::uint64_t epoch = queues_[meta.ring_id].epoch;
-    outstanding_[chunk_key(meta.ring_id, meta.chunk_id, epoch)] =
-        Outstanding{meta, meta.pkt_count, epoch};
-    if (latency_ && latency_->enabled()) [[unlikely]] {
-      journey_dequeue(meta, queue);
-    }
-    WIRECAP_TRACE(tracer_,
-                  instant("chunk.dequeue", "app", scheduler_.now(), queue,
-                          "chunk", meta.chunk_id, "pkts", meta.pkt_count));
+  if (!qs.open || (!qs.current && !acquire_chunk(queue, qs))) {
+    return std::nullopt;
   }
-
-  const std::uint64_t epoch = queues_[meta.ring_id].epoch;
-  driver::RingBufferPool& pool = queues_[meta.ring_id].driver->pool();
+  // Whatever try_next()/try_next_batch() left unread of the current
+  // chunk, or the whole freshly dequeued one.
   engines::ChunkCaptureView chunk;
-  chunk.source_ring = meta.ring_id;
-  chunk.packets.reserve(meta.pkt_count - start_cursor);
-  for (std::uint32_t cursor = start_cursor; cursor < meta.pkt_count; ++cursor) {
-    const std::uint32_t cell_index = meta.first_cell + cursor;
-    const driver::CellInfo& info = pool.cell_info(meta.chunk_id, cell_index);
-    engines::CaptureView view;
-    view.bytes = pool.cell(meta.chunk_id, cell_index).first(info.length);
-    view.wire_len = info.wire_length;
-    view.timestamp = Nanos{info.timestamp_ns};
-    view.seq = info.seq;
-    view.handle = make_handle(meta.ring_id, epoch, meta.chunk_id, cell_index);
-    chunk.packets.push_back(view);
-  }
-  qs.stats.delivered += meta.pkt_count - start_cursor;
+  chunk.source_ring = qs.current->meta.ring_id;
+  chunk.packets.resize(qs.current->meta.pkt_count - qs.current->cursor);
+  serve_views(qs, chunk.packets);
   return chunk;
 }
 
@@ -755,60 +627,18 @@ std::size_t WirecapEngine::try_next_batch(std::uint32_t queue,
   batch.source_ring = queue;
   QueueState& qs = queues_.at(queue);
   if (!qs.open || max_packets == 0) return 0;
-  while (!qs.current) {
-    auto meta = pop_capture(qs);
-    if (!meta) return 0;
-    if (meta->pkt_count == 0) {
-      if (queues_[meta->ring_id].driver->recycle(*meta).is_ok()) {
-        credit_charged(meta->ring_id, 1);
-      }
-      continue;
-    }
-    qs.current = CurrentChunk{*meta, 0};
-    const std::uint64_t epoch = queues_[meta->ring_id].epoch;
-    outstanding_[chunk_key(meta->ring_id, meta->chunk_id, epoch)] =
-        Outstanding{*meta, meta->pkt_count, epoch};
-    if (latency_ && latency_->enabled()) [[unlikely]] {
-      journey_dequeue(*meta, queue);
-    }
-    WIRECAP_TRACE(tracer_,
-                  instant("chunk.dequeue", "app", scheduler_.now(), queue,
-                          "chunk", meta->chunk_id, "pkts", meta->pkt_count));
-  }
+  if (!qs.current && !acquire_chunk(queue, qs)) return 0;
 
   // A batch never spans chunks (chunk == batch when max_packets >= M):
   // every view shares one chunk key, so done_batch() derefs once.
-  CurrentChunk& current = *qs.current;
-  const driver::ChunkMeta meta = current.meta;
-  const std::uint64_t epoch = queues_[meta.ring_id].epoch;
-  driver::RingBufferPool& pool = queues_[meta.ring_id].driver->pool();
+  const CurrentChunk& current = *qs.current;
   const std::uint32_t take = std::min(
       static_cast<std::uint32_t>(std::min<std::size_t>(
           max_packets, std::numeric_limits<std::uint32_t>::max())),
-      meta.pkt_count - current.cursor);
-  batch.source_ring = meta.ring_id;
-  // Resolve the chunk once — one bounds check, two base pointers — then
-  // fill views by plain indexing instead of two checked pool calls per
-  // cell.  This is the delivery half of the batch path's amortization.
-  const std::span<std::byte> bytes = pool.chunk_bytes(meta.chunk_id);
-  const std::span<const driver::CellInfo> cells =
-      pool.chunk_cells(meta.chunk_id);
-  const std::uint32_t cell_size = pool.cell_size();
+      current.meta.pkt_count - current.cursor);
+  batch.source_ring = current.meta.ring_id;
   batch.views.resize(take);
-  for (std::uint32_t i = 0; i < take; ++i) {
-    const std::uint32_t cell_index = meta.first_cell + current.cursor + i;
-    const driver::CellInfo& info = cells[cell_index];
-    engines::CaptureView& view = batch.views[i];
-    view.bytes = bytes.subspan(
-        static_cast<std::size_t>(cell_index) * cell_size, info.length);
-    view.wire_len = info.wire_length;
-    view.timestamp = Nanos{info.timestamp_ns};
-    view.seq = info.seq;
-    view.handle = make_handle(meta.ring_id, epoch, meta.chunk_id, cell_index);
-  }
-  current.cursor += take;
-  if (current.cursor == meta.pkt_count) qs.current.reset();
-  qs.stats.delivered += take;  // one accounting update per batch
+  serve_views(qs, batch.views);
   // One ref covers the whole batch: a batch never spans chunks, so any
   // view's handle resolves to the one chunk key at release time.
   batch.refs.push_back(engines::BatchRef{batch.views[0].handle, take});
@@ -1126,8 +956,7 @@ void WirecapEngine::bind_queue_telemetry(std::uint32_t queue) {
     return qs.extra.pending_high_water;
   });
   registry.bind_counter(qp + "polls", [&qs] { return qs.extra.polls; });
-  // Work-stealing handoff outcomes (lock-free mode; fallbacks also
-  // count mutex-mode remote pushes refused as full/closed).
+  // Work-stealing handoff outcomes.
   registry.bind_counter(qp + "handoff.steals",
                         [&qs] { return qs.extra.handoff_steals; });
   registry.bind_counter(qp + "handoff.contended",

@@ -24,6 +24,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -57,14 +58,6 @@ struct WirecapConfig {
   std::size_t max_chunks_per_capture = 16;
   /// Offload target selection (ablation; default is the paper's).
   OffloadPolicy offload_policy = OffloadPolicy::kLeastBusy;
-  /// Capture-queue handoff implementation.  kLockFree (default) pairs a
-  /// per-queue SpscRing (driver dispatch → the one bound app thread)
-  /// with a StealInbox for buddy offloads, so dispatch never takes a
-  /// lock.  kMutex keeps the MpmcQueue work-queue pair — required for
-  /// the §5e shared-queue paradigm (several app threads on one queue)
-  /// and the blocking-capture baseline.  The pool free-list (recycle
-  /// queue) stays an MpmcQueue in both modes: any app thread recycles.
-  HandoffMode handoff = HandoffMode::kLockFree;
   /// NUMA node the NIC's DMA engine writes into (two-socket boxes).
   std::uint32_t nic_numa_node = 0;
   /// Per-queue NUMA placement of each queue's capture thread and ring
@@ -83,14 +76,14 @@ struct WirecapQueueExtraStats {
   /// sampled periodically by the telemetry sampler.
   std::uint64_t pending_high_water = 0;
   std::uint64_t polls = 0;
-  /// Lock-free offload handoff outcomes (engine.<q>.handoff.*).
+  /// Offload handoff outcomes (engine.<q>.handoff.*).
   /// A buddy's deposit into this queue's steal inbox succeeded:
   std::uint64_t handoff_steals = 0;
   /// ... or lost a CAS race mid-deposit (counted on the dispatching
   /// queue; the loser falls home rather than retrying):
   std::uint64_t handoff_contended = 0;
-  /// ... or could not place remotely at all (inbox full, target queue
-  /// full or closed) and the chunk fell back to the home queue:
+  /// ... or could not place remotely at all (inbox full or buddy
+  /// closed) and the chunk fell back to the home queue:
   std::uint64_t handoff_fallbacks = 0;
   /// Offload handoffs whose target queue sits on a different NUMA node
   /// than the dispatching queue (each paid numa_remote_handoff_cost).
@@ -115,16 +108,8 @@ class WirecapEngine final : public engines::CaptureEngine {
   /// offloading never crosses tenants), applies the spec's quota and
   /// per-tenant policy/threshold/NUMA overrides to the member queues,
   /// and releases queues the spec claims from any previous owner.
-  /// Member queues must already be open (std::logic_error otherwise —
-  /// the old set_buddy_group contract).
+  /// Member queues must already be open (std::logic_error otherwise).
   engines::TenantId register_tenant(const engines::TenantSpec& spec) override;
-
-  /// Deprecated single-application shim: forwards to register_tenant()
-  /// with a spec named after the group's lowest queue id, no quota and
-  /// no overrides — behaviorally identical (byte-identical dispatch) to
-  /// the pre-tenant API.  Distinct groups registered through repeated
-  /// calls coexist as distinct tenants.  Prefer register_tenant().
-  void set_buddy_group(const std::vector<std::uint32_t>& queues);
 
   /// Quota-side account of `tenant` (charged captured chunks, quota,
   /// capture polls skipped at quota).
@@ -147,9 +132,10 @@ class WirecapEngine final : public engines::CaptureEngine {
   /// Chunk-native handoff: pops one ChunkMeta off the capture queue and
   /// serves views of all its cells without copying — the spool consumes
   /// whole chunks exactly as the capture ioctl produced them.  If the
-  /// application left a chunk partially read via try_next(), its
-  /// remaining packets form the returned chunk (so the two read APIs
-  /// compose).  `max_packets` is ignored: the chunk size is M.
+  /// application left a chunk partially read via try_next() or
+  /// try_next_batch(), its remaining packets form the returned chunk (so
+  /// the read APIs compose).  `max_packets` is ignored: the chunk size
+  /// is M.
   std::optional<engines::ChunkCaptureView> try_next_chunk(
       std::uint32_t queue, std::size_t max_packets = 64) override;
   /// Batch-native handoff: serves up to `max_packets` views of the
@@ -277,12 +263,12 @@ class WirecapEngine final : public engines::CaptureEngine {
     std::uint64_t epoch = 0;
     std::unique_ptr<driver::WirecapQueueDriver> driver;
     std::unique_ptr<sim::SimCore> capture_core;
-    /// Mutex mode only: the MPMC capture queue (null in lock-free mode).
-    std::unique_ptr<MpmcQueue<driver::ChunkMeta>> capture_queue;
-    /// Lock-free mode only: the SPSC fast path (home dispatch → app
-    /// thread) and the inbox buddies deposit offloaded chunks into.
+    /// The capture queue: an SPSC ring (home dispatch → the one bound
+    /// app thread) plus the inbox buddies deposit offloaded chunks into.
     std::unique_ptr<SpscRing<driver::ChunkMeta>> capture_ring;
     std::unique_ptr<StealInbox<driver::ChunkMeta>> steal_inbox;
+    /// The pool free-list: any app thread may release a chunk, so the
+    /// recycle queue stays multi-producer.
     std::unique_ptr<MpmcQueue<driver::ChunkMeta>> recycle_queue;
     std::deque<driver::ChunkMeta> pending;  // couldn't be enqueued yet
     std::vector<std::uint32_t> buddies;
@@ -354,18 +340,26 @@ class WirecapEngine final : public engines::CaptureEngine {
   void poll(std::uint32_t queue);
   /// Places a captured chunk on a capture queue per the offloading
   /// policy; on failure parks it in `pending`.  Returns the modeled
-  /// handoff cost the capture thread paid (cheap atomics in lock-free
-  /// mode, lock+notify in mutex mode) for poll() to accumulate.
+  /// handoff cost the capture thread paid for poll() to accumulate.
   Nanos dispatch(std::uint32_t queue, const driver::ChunkMeta& meta);
-  /// Pops the next chunk bound for `qs`'s application: the SPSC ring
-  /// then the steal inbox in lock-free mode, the MPMC queue otherwise.
+  /// Pops the next chunk bound for `qs`'s application: the SPSC ring,
+  /// then the steal inbox.
   std::optional<driver::ChunkMeta> pop_capture(QueueState& qs);
-  /// Mode-aware capture-side depth (ring + inbox, or MPMC queue).
+  /// Capture-side depth: ring plus inbox.
   [[nodiscard]] std::size_t capture_depth(const QueueState& qs) const;
-  /// Mode-aware snapshot of every chunk queued toward `qs`'s
-  /// application (census / quiesced introspection only).
+  /// Snapshot of every chunk queued toward `qs`'s application (census /
+  /// quiesced introspection only).
   [[nodiscard]] std::vector<driver::ChunkMeta> capture_metas(
       const QueueState& qs) const;
+  /// The dequeue half of every read API: makes the next non-empty
+  /// queued chunk `qs.current` and registers its refcount.  Empty
+  /// captures go straight home.  False when nothing is queued.
+  bool acquire_chunk(std::uint32_t queue, QueueState& qs);
+  /// Fills `views` with the next views.size() packets of `qs.current`,
+  /// which must not exceed its unread remainder, advances the cursor
+  /// and counts them delivered; the chunk is forgotten once fully
+  /// served.
+  void serve_views(QueueState& qs, std::span<engines::CaptureView> views);
   void release_ref(std::uint32_t queue, std::uint64_t handle,
                    std::uint32_t count) override;
   void deref(std::uint64_t key) { deref_n(key, 1); }

@@ -45,11 +45,6 @@ struct EngineConfig {
   /// at the CLI boundary via parse_offload_policy() — see
   /// common/handoff.hpp — which throws listing the allowed set.
   OffloadPolicy offload_policy = OffloadPolicy::kLeastBusy;
-  /// Capture-queue handoff: kLockFree (per-queue SPSC ring + steal
-  /// inbox, non-blocking dispatch) or kMutex (MpmcQueue work-queue
-  /// pair — the blocking baseline and the §5e shared-queue paradigm).
-  /// CLI strings go through parse_handoff_mode().
-  HandoffMode handoff = HandoffMode::kLockFree;
   /// NUMA node of the NIC's DMA target (two-socket capture boxes).
   std::uint32_t nic_numa_node = 0;
   /// Per-queue NUMA placement of capture threads + pools; empty keeps

@@ -2,13 +2,11 @@
 // collector, a capture-to-disk spool) share one NIC, each owning a
 // disjoint set of its receive queues.
 //
-// A TenantSpec replaces the old single-application
-// WirecapEngine::set_buddy_group(queues) call: the tenant's queues form
-// its buddy group (offloading never crosses tenants), `chunk_quota`
-// caps how many captured chunks the tenant may hold engine-wide at once
-// (a stalled tenant exhausts only its own budget, not the NIC), and the
-// optional per-tenant knobs override the engine-wide defaults for the
-// tenant's queues only.
+// A TenantSpec's queues form the tenant's buddy group (offloading never
+// crosses tenants), `chunk_quota` caps how many captured chunks the
+// tenant may hold engine-wide at once (a stalled tenant exhausts only
+// its own budget, not the NIC), and the optional per-tenant knobs
+// override the engine-wide defaults for the tenant's queues only.
 //
 // Registration is an upsert keyed on `name`: re-registering a name
 // replaces that tenant's spec.  Queue ownership is exclusive — a queue
@@ -50,8 +48,7 @@ struct TenantSpec {
   std::uint32_t chunk_quota = 0;
 
   /// Per-tenant overrides of the engine-wide defaults; nullopt keeps
-  /// the engine config's value, so a spec with every optional empty is
-  /// behaviorally identical to the old set_buddy_group call.
+  /// the engine config's value.
   std::optional<OffloadPolicy> offload_policy;
   std::optional<double> offload_threshold;
 

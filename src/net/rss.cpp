@@ -21,7 +21,8 @@ using RssTable = std::array<std::array<std::uint32_t, 256>, kMaxRssInput>;
 constexpr std::uint32_t key_window(std::size_t bit) {
   std::uint32_t window = 0;
   for (std::size_t b = bit; b < bit + 32; ++b) {
-    const std::uint32_t key_bit = (kDefaultRssKey[b / 8] >> (7 - b % 8)) & 1u;
+    const std::uint32_t key_bit =
+        (std::uint32_t{kDefaultRssKey[b / 8]} >> (7 - b % 8)) & 1u;
     window = (window << 1) | key_bit;
   }
   return window;

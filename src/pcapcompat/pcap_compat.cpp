@@ -160,23 +160,4 @@ Stats PcapHandle::stats() const {
   return stats;
 }
 
-// --- deprecated raw-pointer shims ---
-
-namespace {
-Handler wrap(const LegacyHandler& handler) {
-  return [&handler](const PacketHeader& header,
-                    std::span<const std::byte> data) {
-    handler(&header, data.data(), data.size());
-  };
-}
-}  // namespace
-
-int PcapHandle::dispatch(int count, const LegacyHandler& handler) {
-  return dispatch(count, wrap(handler));
-}
-
-int PcapHandle::loop(int count, const LegacyHandler& handler) {
-  return loop(count, wrap(handler));
-}
-
 }  // namespace wirecap::pcap

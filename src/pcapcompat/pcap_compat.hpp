@@ -57,12 +57,6 @@ struct Stats {
 using Handler =
     std::function<void(const PacketHeader&, std::span<const std::byte>)>;
 
-/// The pre-unification handler shape (raw header pointer + separate data
-/// pointer/length, as in pcap_handler).  Deprecated: every caller ends
-/// up re-wrapping the raw pointers; use Handler instead.
-using LegacyHandler =
-    std::function<void(const PacketHeader*, const std::byte*, std::size_t)>;
-
 class PcapHandle {
  public:
   /// Number of packets pulled from the engine per try_next_batch call.
@@ -99,14 +93,6 @@ class PcapHandle {
   /// (forever if count <= 0) or breakloop() is called, advancing the
   /// simulation while idle.  Returns packets handled, or -2 if broken.
   int loop(int count, const Handler& handler);
-
-  [[deprecated("use the Handler overload: (const PacketHeader&, "
-               "std::span<const std::byte>)")]]
-  int dispatch(int count, const LegacyHandler& handler);
-
-  [[deprecated("use the Handler overload: (const PacketHeader&, "
-               "std::span<const std::byte>)")]]
-  int loop(int count, const LegacyHandler& handler);
 
   /// pcap_next_ex: yields the next matching packet without a callback.
   /// Returns 1 and fills `header`/`data` when a packet is available, 0

@@ -78,17 +78,20 @@ struct CostModel {
   /// full chunk (also the blocking-capture timeout granularity).
   Nanos capture_poll_interval = Nanos::from_micros(50);
 
-  /// Placing one chunk's metadata on a mutex+condvar capture queue:
-  /// lock acquire, push, unlock, notify under light contention.
+  /// Calibration reference only — no engine path charges it: what
+  /// placing one chunk's metadata on a mutex+condvar queue (lock, push,
+  /// unlock, notify under light contention) would cost, printed next to
+  /// the measured MpmcQueue handoff for comparison.
   Nanos mutex_handoff_cost = Nanos{150};
 
   /// Placing one chunk's metadata on the lock-free SPSC ring or steal
   /// inbox: a couple of uncontended atomics, no syscall, no futex.
   Nanos lockfree_handoff_cost = Nanos{25};
 
-  /// Delay between a condvar notify and the blocked application thread
-  /// actually running (futex wake + scheduler dispatch) — the queue-wait
-  /// latency the lock-free path's poll-driven delivery avoids.
+  /// Calibration reference only — no engine path charges it: the delay
+  /// between a condvar notify and the blocked thread actually running
+  /// (futex wake + scheduler dispatch), a latency the poll-driven
+  /// lock-free delivery never pays.
   Nanos condvar_wakeup_delay = Nanos::from_micros(2.0);
 
   /// Timeout after which a partially-filled chunk is copied out rather

@@ -97,8 +97,8 @@ struct ChunkJourney {
   std::uint32_t pkt_count = 0;
   std::uint32_t dequeue_queue = 0;
   bool rescued = false;
-  /// Enqueued onto a buddy via the offload handoff rather than the
-  /// home queue (work-stealing path in lock-free mode).
+  /// Deposited into a buddy's steal inbox by the offload handoff rather
+  /// than pushed onto the home queue.
   bool stolen = false;
   std::int64_t arrival_ns = -1;   // first-cell NIC writeback timestamp
   std::int64_t captured_ns = -1;  // capture ioctl completed

@@ -144,7 +144,6 @@ FaultHarness::FaultHarness(FaultHarnessConfig config)
   engine_config.cells_per_chunk = config_.cells_per_chunk;
   engine_config.chunk_count = config_.chunk_count;
   engine_config.cell_size = 2048;
-  engine_config.handoff = config_.handoff;
   if (config_.advanced_mode && queues > 1) {
     engine_config.offload_threshold = 0.5;
   }
@@ -399,6 +398,26 @@ void FaultHarness::release_due_chunks(std::uint32_t queue) {
   }
 }
 
+void FaultHarness::close_queue(std::uint32_t queue, int retries) {
+  if (!queue_open_[queue]) return;
+  // Closing needs a quiesced ring: retry past in-flight DMA.
+  if (nic_->rx_ring(queue).dma_in_flight() && retries > 0) {
+    scheduler_.schedule_after(kDmaSettle, [this, queue, retries] {
+      close_queue(queue, retries - 1);
+    });
+    return;
+  }
+  // Spooled chunks of this ring reference its pool cells: pull them out
+  // of every shard queue (and our held lists) before the pool is torn
+  // down.
+  evict_ring_from_spool(queue);
+  engine_->close(queue);
+  queue_open_[queue] = false;
+  ++reopens_;
+  scheduler_.schedule_after(kReopenDelay,
+                            [this, queue] { open_queue(queue); });
+}
+
 void FaultHarness::evict_ring_from_spool(std::uint32_t ring) {
   if (!spool_) return;
   for (std::uint32_t s = 0; s < spool_->num_shards(); ++s) {
@@ -473,32 +492,12 @@ void FaultHarness::apply(const FaultEvent& event) {
       }
       break;
     }
-    case FaultKind::kQueueReopen: {
+    case FaultKind::kQueueReopen:
       if (!queue_open_[event.queue]) break;
-      const std::uint32_t queue = event.queue;
-      // Closing needs a quiesced ring: retry past in-flight DMA.
-      auto attempt = std::make_shared<std::function<void(int)>>();
-      *attempt = [this, queue, attempt](int retries) {
-        if (!queue_open_[queue]) return;
-        if (nic_->rx_ring(queue).dma_in_flight() && retries > 0) {
-          scheduler_.schedule_after(
-              kDmaSettle, [attempt, retries] { (*attempt)(retries - 1); });
-          return;
-        }
-        // Spooled chunks of this ring reference its pool cells: pull
-        // them out of every shard queue (and our held lists) before the
-        // pool is torn down.
-        evict_ring_from_spool(queue);
-        engine_->close(queue);
-        queue_open_[queue] = false;
-        ++reopens_;
-        scheduler_.schedule_after(kReopenDelay,
-                                  [this, queue] { open_queue(queue); });
-      };
-      scheduler_.schedule_after(kDmaSettle,
-                                [attempt] { (*attempt)(kCloseRetries); });
+      scheduler_.schedule_after(kDmaSettle, [this, queue = event.queue] {
+        close_queue(queue, kCloseRetries);
+      });
       break;
-    }
     case FaultKind::kSlowDisk:
       if (spool_) {
         spool_->shard(event.queue)

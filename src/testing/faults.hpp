@@ -24,7 +24,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/handoff.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "engines/engine.hpp"
@@ -121,11 +120,6 @@ struct FaultHarnessConfig {
   /// Advanced mode (buddy offloading) puts chunks on foreign capture
   /// queues — the paths close() must sweep.
   bool advanced_mode = true;
-  /// Handoff implementation under test.  Defaults to the engine's
-  /// lock-free fast path so the conservation soaks prove the SPSC ring
-  /// + steal inbox under every fault; set kMutex to soak the blocking
-  /// MpmcQueue pair.
-  HandoffMode handoff = HandoffMode::kLockFree;
   /// Per-tenant chunk quota handed to every registered TenantSpec
   /// (0 = uncapped).  Only meaningful with plan.num_tenants > 1, where
   /// it is what makes a stalled tenant exhaust *its own* budget while
@@ -237,6 +231,9 @@ class FaultHarness {
   };
 
   void open_queue(std::uint32_t queue);
+  /// Closes `queue` once its ring is quiesced, retrying past in-flight
+  /// DMA up to `retries` more times, and schedules the reopen.
+  void close_queue(std::uint32_t queue, int retries);
   void rebind_buddies();
   /// The contiguous-slice tenant partition (matches the registration in
   /// rebind_buddies and the tenant_delivered aggregation).

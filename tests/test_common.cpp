@@ -6,12 +6,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/fixed_ring.hpp"
 #include "common/handoff.hpp"
 #include "common/log.hpp"
 #include "common/mpmc_queue.hpp"
 #include "common/rng.hpp"
-#include "common/spsc_queue.hpp"
 #include "common/spsc_ring.hpp"
 #include "common/stats.hpp"
 #include "common/status.hpp"
@@ -68,45 +66,6 @@ TEST(Result, ValueAndError) {
   EXPECT_THROW(static_cast<void>(bad.value()), std::runtime_error);
 }
 
-// --- FixedRing ---
-
-TEST(FixedRing, PushPopFifo) {
-  FixedRing<int> ring{4};
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.push_back(i));
-  EXPECT_TRUE(ring.full());
-  EXPECT_FALSE(ring.push_back(99));
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(ring.pop_front(), i);
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(FixedRing, WrapAround) {
-  FixedRing<int> ring{3};
-  for (int round = 0; round < 10; ++round) {
-    EXPECT_TRUE(ring.push_back(round));
-    EXPECT_EQ(ring.pop_front(), round);
-  }
-}
-
-TEST(FixedRing, PushFrontAndAt) {
-  FixedRing<int> ring{4};
-  ring.push_back(2);
-  ring.push_front(1);
-  ring.push_back(3);
-  EXPECT_EQ(ring.at(0), 1);
-  EXPECT_EQ(ring.at(1), 2);
-  EXPECT_EQ(ring.at(2), 3);
-  EXPECT_EQ(ring.back(), 3);
-  EXPECT_EQ(ring.pop_back(), 3);
-  EXPECT_THROW(static_cast<void>(ring.at(5)), std::out_of_range);
-}
-
-TEST(FixedRing, EmptyAccessThrows) {
-  FixedRing<int> ring{2};
-  EXPECT_THROW(static_cast<void>(ring.pop_front()), std::out_of_range);
-  EXPECT_THROW(static_cast<void>(ring.front()), std::out_of_range);
-  EXPECT_THROW(FixedRing<int>{0}, std::invalid_argument);
-}
-
 // --- concurrent tests ---
 //
 // Every worker thread below is a std::jthread, which requests stop and
@@ -115,60 +74,6 @@ TEST(FixedRing, EmptyAccessThrows) {
 // call std::terminate and take the rest of the binary with it.  Workers
 // that spin on a peer poll their stop token, so the join cannot hang on
 // a peer that already left.
-
-// --- SpscQueue ---
-
-TEST(SpscQueue, BasicFifo) {
-  SpscQueue<int> queue{8};
-  EXPECT_EQ(queue.capacity(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(queue.try_push(i));
-  EXPECT_FALSE(queue.try_push(8));
-  EXPECT_EQ(queue.size_approx(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(queue.try_pop().value(), i);
-  EXPECT_FALSE(queue.try_pop().has_value());
-}
-
-TEST(SpscQueue, FillFraction) {
-  SpscQueue<int> queue{10};
-  for (int i = 0; i < 6; ++i) queue.try_push(i);
-  EXPECT_DOUBLE_EQ(queue.fill_fraction(), 0.6);
-}
-
-TEST(SpscQueue, PopBatch) {
-  SpscQueue<int> queue{16};
-  for (int i = 0; i < 10; ++i) queue.try_push(i);
-  std::vector<int> out;
-  EXPECT_EQ(queue.try_pop_batch(out, 4), 4u);
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(queue.try_pop_batch(out, 100), 6u);
-  EXPECT_EQ(out.size(), 10u);
-}
-
-TEST(SpscQueue, ConcurrentStress) {
-  // Linearizability smoke test: one real producer and one real consumer
-  // move a million integers; all arrive exactly once, in order.
-  constexpr int kCount = 1'000'000;
-  SpscQueue<int> queue{1024};
-  std::jthread producer([&](const std::stop_token& stop) {
-    for (int i = 0; i < kCount; ++i) {
-      while (!queue.try_push(i)) {
-        if (stop.stop_requested()) return;
-        std::this_thread::yield();
-      }
-    }
-  });
-  long long sum = 0;
-  int expected = 0;
-  while (expected < kCount) {
-    if (auto v = queue.try_pop()) {
-      ASSERT_EQ(*v, expected);
-      sum += *v;
-      ++expected;
-    }
-  }
-  producer.join();
-  EXPECT_EQ(sum, static_cast<long long>(kCount) * (kCount - 1) / 2);
-}
 
 // --- SpscRing ---
 

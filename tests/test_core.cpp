@@ -163,16 +163,6 @@ TEST(WirecapAdvanced, LowerThresholdOffloadsSooner) {
   EXPECT_GE(low.offloaded_chunks, high.offloaded_chunks);
 }
 
-TEST(WirecapEngine, BuddyGroupRequiresOpenQueues) {
-  sim::Scheduler scheduler;
-  sim::IoBus bus{scheduler};
-  nic::NicConfig nic_config;
-  nic_config.num_rx_queues = 2;
-  nic::MultiQueueNic nic{scheduler, bus, nic_config};
-  core::WirecapEngine engine{scheduler, nic, core::WirecapConfig{}};
-  EXPECT_THROW(engine.set_buddy_group({0, 1}), std::logic_error);
-}
-
 TEST(WirecapEngine, RejectsBadThreshold) {
   sim::Scheduler scheduler;
   sim::IoBus bus{scheduler};
@@ -218,8 +208,7 @@ TEST(WirecapForward, ZeroCopyForwardingDeliversToReceiver) {
 class DispatchFabric {
  public:
   DispatchFabric(core::WirecapConfig config, std::uint32_t num_queues,
-                 const std::vector<std::vector<std::uint32_t>>& groups,
-                 bool use_tenant_api = false)
+                 const std::vector<std::vector<std::uint32_t>>& groups)
       : bus_{scheduler_}, num_queues_{num_queues} {
     nic::NicConfig nic_config;
     nic_config.num_rx_queues = num_queues;
@@ -231,16 +220,12 @@ class DispatchFabric {
     core_ = std::make_unique<sim::SimCore>(scheduler_, 0);
     for (std::uint32_t q = 0; q < num_queues; ++q) engine_->open(q, *core_);
     for (const auto& group : groups) {
-      if (use_tenant_api) {
-        engines::TenantSpec spec;
-        spec.name = "group-q";
-        spec.name += std::to_string(
-            *std::min_element(group.begin(), group.end()));
-        spec.queues = group;
-        engine_->register_tenant(spec);
-      } else {
-        engine_->set_buddy_group(group);
-      }
+      engines::TenantSpec spec;
+      spec.name = "group-q";
+      spec.name += std::to_string(
+          *std::min_element(group.begin(), group.end()));
+      spec.queues = group;
+      engine_->register_tenant(spec);
     }
     seqs_.resize(num_queues, 0);
   }
@@ -291,7 +276,6 @@ TEST(WirecapDispatch, RoundRobinCyclesPerQueue) {
   config.chunk_count = 16;
   config.offload_threshold = 0.25;
   config.offload_policy = core::OffloadPolicy::kRoundRobin;
-  config.handoff = HandoffMode::kMutex;  // ample remote capacity
   DispatchFabric fabric{config, 5, {{0, 1, 2}, {3, 4}}};
   fabric.inject_chunks(0, 16);
   fabric.inject_chunks(3, 16);
@@ -322,7 +306,6 @@ TEST(WirecapDispatch, RandomBuddyStreamIndependentAcrossQueues) {
     config.chunk_count = 32;
     config.offload_threshold = 0.25;
     config.offload_policy = core::OffloadPolicy::kRandomBuddy;
-    config.handoff = HandoffMode::kMutex;  // ample remote capacity
     DispatchFabric fabric{config, 6, {{0, 1, 2, 3}, {4, 5}}};
     fabric.inject_chunks(0, 32);
     if (second_group_hot) fabric.inject_chunks(4, 32);
@@ -362,12 +345,12 @@ TEST(WirecapDispatch, LeastBusyJudgesOneLoadObservation) {
   const auto& engine = fabric.engine();
   EXPECT_EQ(engine.queue_stats(0).chunks_offloaded_out, 1u);
   EXPECT_EQ(engine.queue_stats(1).chunks_offloaded_in, 1u);
-  // Default lock-free handoff: the offload arrived as a steal deposit.
+  // The offload arrived as a steal deposit.
   EXPECT_EQ(engine.extra_stats(1).handoff_steals, 1u);
 }
 
 TEST(WirecapDispatch, InboxFullFallsHomeWithoutParking) {
-  // Lock-free mode bounds a buddy's steal inbox; once it fills, every
+  // A buddy's steal inbox is bounded; once it fills, every
   // further offload attempt must fall home in one step (counted as a
   // fallback) — never park in `pending` waiting on a buddy.
   core::WirecapConfig config;
@@ -391,6 +374,53 @@ TEST(WirecapDispatch, InboxFullFallsHomeWithoutParking) {
   EXPECT_GE(engine.extra_stats(0).capture_queue_high_water, 20u);
 }
 
+TEST(WirecapReadApis, MixedReadsShareOneChunk) {
+  // The three read APIs compose over one captured chunk: per-packet
+  // reads, then a batch, then the chunk API hands over exactly the
+  // packets still unread, in capture order.  Releasing every piece
+  // through its own release call recycles the chunk exactly once.
+  constexpr std::uint32_t kM = 8;
+  constexpr std::uint32_t kSingles = 2;
+  constexpr std::uint32_t kBatched = 3;
+  core::WirecapConfig config;
+  config.cells_per_chunk = kM;
+  config.chunk_count = 16;
+  DispatchFabric fabric{config, 1, {}};
+  fabric.inject_chunks(0, 1);
+  fabric.run(Nanos::from_millis(1));
+  core::WirecapEngine& engine = fabric.engine();
+
+  std::vector<engines::CaptureView> singles;
+  for (std::uint32_t i = 0; i < kSingles; ++i) {
+    auto view = engine.try_next(0);
+    ASSERT_TRUE(view.has_value());
+    singles.push_back(*view);
+  }
+  engines::PacketBatch batch;
+  ASSERT_EQ(engine.try_next_batch(0, kBatched, batch), kBatched);
+  const auto chunk = engine.try_next_chunk(0);
+  ASSERT_TRUE(chunk.has_value());
+  ASSERT_EQ(chunk->packets.size(), kM - kSingles - kBatched);
+  EXPECT_EQ(chunk->source_ring, 0u);
+  EXPECT_FALSE(engine.try_next_chunk(0).has_value());
+  EXPECT_EQ(engine.queue_stats(0).delivered, kM);
+
+  std::vector<engines::CaptureView> all = singles;
+  all.insert(all.end(), batch.views.begin(), batch.views.end());
+  all.insert(all.end(), chunk->packets.begin(), chunk->packets.end());
+  for (std::uint32_t i = 0; i < kM; ++i) EXPECT_EQ(all[i].seq, i);
+
+  for (const engines::CaptureView& view : singles) engine.done(0, view);
+  engine.done_batch(0, batch);
+  fabric.run(Nanos::from_millis(2));
+  EXPECT_EQ(engine.driver_stats(0).chunks_recycled, 0u);
+  engine.done_chunk(0, *chunk);
+  fabric.run(Nanos::from_millis(3));
+  EXPECT_EQ(engine.driver_stats(0).chunks_recycled, 1u);
+  EXPECT_EQ(engine.driver_stats(0).recycle_rejects, 0u);
+  EXPECT_EQ(engine.pool(0).state_counts().captured, 0u);
+}
+
 TEST(WirecapEngine, PoolAccounting) {
   sim::Scheduler scheduler;
   sim::IoBus bus{scheduler};
@@ -406,54 +436,6 @@ TEST(WirecapEngine, PoolAccounting) {
   engine.open(1, core);
   EXPECT_EQ(engine.total_pool_bytes(), 2ull * 128 * 16 * 2048);
   EXPECT_EQ(engine.pool(0).cells_per_chunk(), 128u);
-}
-
-TEST(WirecapTenancy, ShimAndTenantApiProduceIdenticalDispatch) {
-  // The deprecated set_buddy_group shim must forward to the tenant
-  // registry without perturbing anything: the same lockstep workload
-  // through both APIs yields identical per-queue dispatch streams.
-  const auto run = [](bool use_tenant_api) {
-    core::WirecapConfig config;
-    config.cells_per_chunk = 8;
-    config.chunk_count = 16;
-    config.offload_threshold = 0.25;
-    config.offload_policy = core::OffloadPolicy::kRoundRobin;
-    config.handoff = HandoffMode::kMutex;  // ample remote capacity
-    DispatchFabric fabric{config, 5, {{0, 1, 2}, {3, 4}}, use_tenant_api};
-    fabric.inject_chunks(0, 16);
-    fabric.inject_chunks(3, 16);
-    fabric.run(Nanos::from_millis(5));
-    std::vector<std::array<std::uint64_t, 4>> streams;
-    for (std::uint32_t q = 0; q < 5; ++q) {
-      const auto stats = fabric.engine().queue_stats(q);
-      const auto extra = fabric.engine().extra_stats(q);
-      streams.push_back({stats.chunks_offloaded_out,
-                         stats.chunks_offloaded_in, extra.handoff_steals,
-                         extra.capture_queue_high_water});
-    }
-    return streams;
-  };
-  const auto shim = run(false);
-  const auto api = run(true);
-  EXPECT_EQ(shim, api);
-  // And the comparison is non-trivial: chunks really moved.
-  EXPECT_GT(shim[0][0], 0u);
-}
-
-TEST(WirecapTenancy, ShimRegistersDistinctCoexistingTenants) {
-  core::WirecapConfig config;
-  config.cells_per_chunk = 8;
-  config.chunk_count = 16;
-  config.offload_threshold = 0.25;
-  DispatchFabric fabric{config, 5, {{0, 1, 2}, {3, 4}}};
-  core::WirecapEngine& engine = fabric.engine();
-  ASSERT_EQ(engine.tenants().size(), 2u);
-  EXPECT_EQ(engine.tenant_of(0), engine.tenant_of(2));
-  EXPECT_EQ(engine.tenant_of(3), engine.tenant_of(4));
-  EXPECT_NE(engine.tenant_of(0), engine.tenant_of(3));
-  // Re-issuing the same group upserts rather than multiplying tenants.
-  engine.set_buddy_group({0, 1, 2});
-  EXPECT_EQ(engine.tenants().size(), 2u);
 }
 
 TEST(WirecapTenancy, RegistrationValidatesSpecs) {
@@ -568,10 +550,9 @@ TEST(WirecapNuma, RemoteHandoffsCountedPerDispatcher) {
   config.cells_per_chunk = 8;
   config.chunk_count = 16;
   config.offload_threshold = 0.25;
-  config.handoff = HandoffMode::kMutex;  // ample remote capacity
   config.nic_numa_node = 0;
   config.queue_numa_node = {0, 1};
-  DispatchFabric fabric{config, 2, {{0, 1}}, /*use_tenant_api=*/true};
+  DispatchFabric fabric{config, 2, {{0, 1}}};
   fabric.inject_chunks(0, 16);
   fabric.run(Nanos::from_millis(5));
 

@@ -228,19 +228,6 @@ TEST(CliParsing, OffloadPolicyRoundTripsAndRejectsUnknown) {
   }
 }
 
-TEST(CliParsing, HandoffModeRoundTripsAndRejectsUnknown) {
-  EXPECT_EQ(parse_handoff_mode("lock-free"), HandoffMode::kLockFree);
-  EXPECT_EQ(parse_handoff_mode("mutex"), HandoffMode::kMutex);
-  try {
-    static_cast<void>(parse_handoff_mode("spinlock"));
-    FAIL() << "unknown handoff mode accepted";
-  } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find("spinlock"), std::string::npos);
-    EXPECT_NE(std::string(error.what()).find("lock-free"),
-              std::string::npos);
-  }
-}
-
 TEST(EngineFactory, TenantRegistrationWorksAcrossEngineKinds) {
   // register_tenant is part of the CaptureEngine surface: the WireCAP
   // engine maps it onto buddy groups + quotas, the DPDK model onto its

@@ -541,19 +541,5 @@ TEST(FaultSoak, TenantFaultsNeverReduceNeighborDelivery) {
   EXPECT_GT(victim_delivered, 0u);
 }
 
-TEST(FaultSoak, ConservationHoldsWithMutexHandoff) {
-  // The blocking MpmcQueue pair stays supported (§5e shared-queue
-  // paradigm); it must satisfy the same conservation law under faults.
-  FaultHarnessConfig base;
-  base.handoff = HandoffMode::kMutex;
-  const SoakResult soak = run_fault_soak(1, 100, base);
-  EXPECT_EQ(soak.seeds_run, 100u);
-  EXPECT_EQ(soak.total_violations, 0u)
-      << (soak.failures.empty() ? "" : soak.failures.front());
-  EXPECT_EQ(soak.seeds_clean, soak.seeds_run);
-  EXPECT_GT(soak.total_delivered, 0u);
-  EXPECT_GT(soak.total_reopens, 0u);
-}
-
 }  // namespace
 }  // namespace wirecap::testing

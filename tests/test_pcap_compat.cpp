@@ -245,43 +245,6 @@ TEST(PcapCompat, NextExYieldsEachPacketThenZero) {
   EXPECT_EQ(handle.stats().ps_recv, 50u);
 }
 
-TEST(PcapCompat, DeprecatedLegacyHandlerStillDelivers) {
-  sim::Scheduler scheduler;
-  sim::IoBus bus{scheduler};
-  nic::NicConfig nic_config;
-  nic::MultiQueueNic nic{scheduler, bus, nic_config};
-  core::WirecapConfig engine_config;
-  engine_config.cells_per_chunk = 64;
-  engine_config.chunk_count = 40;
-  core::WirecapEngine engine{scheduler, nic, engine_config};
-  sim::SimCore app_core{scheduler, 0};
-  PcapHandle handle{scheduler, engine, nic, 0, app_core};
-
-  trace::ConstantRateConfig config;
-  config.packet_count = 20;
-  Xoshiro256 rng{44};
-  config.flows = {trace::random_flow(rng)};
-  trace::ConstantRateSource source{config};
-  nic::TrafficInjector injector{scheduler, source, nic};
-  injector.start();
-  scheduler.run_until(Nanos::from_seconds(1));
-
-  int seen = 0;
-  const LegacyHandler legacy = [&](const PacketHeader* header,
-                                   const std::byte* bytes, std::size_t len) {
-    ASSERT_NE(header, nullptr);
-    ASSERT_NE(bytes, nullptr);
-    EXPECT_EQ(header->caplen, len);
-    ++seen;
-  };
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const int handled = handle.dispatch(0, legacy);
-#pragma GCC diagnostic pop
-  EXPECT_EQ(handled, 20);
-  EXPECT_EQ(seen, 20);
-}
-
 // Regression: a pushdown batch hook that compacts a batch to ZERO views
 // must not leak the batch's chunks.  The deferred release keys off the
 // batch's refs, not its views — an early-out on `views.empty()` here
