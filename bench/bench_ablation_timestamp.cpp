@@ -17,7 +17,7 @@
 
 #include "apps/pkt_handler.hpp"
 #include "bench/bench_util.hpp"
-#include "common/stats.hpp"
+#include "telemetry/latency.hpp"
 
 namespace {
 
@@ -36,13 +36,12 @@ LatencyResult run_latency(const apps::EngineParams& params) {
   config.x = 50;
   apps::Experiment experiment{config};
 
-  Log2Histogram latency_ns;
+  telemetry::HdrHistogram latency_ns;
   experiment.handler(0).set_packet_hook(
       [&latency_ns, &experiment](const engines::CaptureView& view) {
-        const Nanos now = experiment.scheduler().now();
-        const std::int64_t error = (now - view.timestamp).count();
-        latency_ns.record(static_cast<std::uint64_t>(std::max<std::int64_t>(
-            error, 0)));
+        // A negative error (impossible in virtual time) records as 0.
+        latency_ns.record((experiment.scheduler().now() - view.timestamp)
+                              .count());
       });
 
   trace::ConstantRateConfig trace_config;

@@ -22,8 +22,8 @@
 #include <string_view>
 #include <vector>
 
+#include "apps/harness.hpp"
 #include "bench/bench_util.hpp"
-#include "engines/factory.hpp"
 #include "nic/wire.hpp"
 #include "telemetry/latency.hpp"
 
@@ -107,10 +107,11 @@ SweepPoint run_polling(double load) {
   nic::NicConfig nic_config;
   nic_config.num_rx_queues = 1;
   nic::MultiQueueNic nic{scheduler, bus, nic_config};
-  engines::EngineConfig engine_config;
-  engine_config.cells_per_chunk = 64;
-  engine_config.chunk_count = 64;
-  auto engine = engines::make_engine("WireCAP-B", nic, engine_config);
+  apps::EngineParams engine_params;
+  engine_params.cells_per_chunk = 64;
+  engine_params.chunk_count = 64;
+  auto engine = apps::make_engine(engine_params, scheduler, nic,
+                                  sim::CostModel{});
   telemetry::Telemetry telemetry;
   telemetry.latency.set_enabled(true);
   engine->bind_telemetry(telemetry, "bench", 1);
@@ -129,7 +130,7 @@ SweepPoint run_polling(double load) {
   // The fixed-cadence poll loop: drain whatever is queued, sleep the
   // poll period, repeat — arrivals never wake it early.
   std::function<void()> poll = [&] {
-    while (engine->try_next_batch(0, engine_config.cells_per_chunk, batch) >
+    while (engine->try_next_batch(0, engine_params.cells_per_chunk, batch) >
            0) {
       delivered += batch.views.size();
       engine->done_batch(0, batch);

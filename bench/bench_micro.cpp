@@ -19,11 +19,11 @@
 #include <string>
 #include <string_view>
 
+#include "apps/harness.hpp"
 #include "bpf/codegen.hpp"
 #include "bpf/predecode.hpp"
 #include "bpf/vm.hpp"
 #include "driver/wirecap_driver.hpp"
-#include "engines/factory.hpp"
 #include "net/checksum.hpp"
 #include "net/headers.hpp"
 #include "net/packet.hpp"
@@ -257,10 +257,11 @@ int run_compare_batch(const std::string& out_path) {
     nic::NicConfig nic_config;
     nic_config.rx_ring_size = 4096;
     nic::MultiQueueNic nic{scheduler, bus, nic_config};
-    engines::EngineConfig engine_config;
-    engine_config.cells_per_chunk = kCells;
-    engine_config.chunk_count = 64;
-    auto engine = engines::make_engine("WireCAP-B", nic, engine_config);
+    apps::EngineParams engine_params;
+    engine_params.cells_per_chunk = kCells;
+    engine_params.chunk_count = 64;
+    auto engine = apps::make_engine(engine_params, scheduler, nic,
+                                    sim::CostModel{});
     sim::SimCore app_core{scheduler, 0};
     engine->open(0, app_core);
 
@@ -395,10 +396,11 @@ int run_latency_overhead(const std::string& out_path) {
     nic::NicConfig nic_config;
     nic_config.rx_ring_size = 4096;
     nic::MultiQueueNic nic{scheduler, bus, nic_config};
-    engines::EngineConfig engine_config;
-    engine_config.cells_per_chunk = kCells;
-    engine_config.chunk_count = 64;
-    auto engine = engines::make_engine("WireCAP-B", nic, engine_config);
+    apps::EngineParams engine_params;
+    engine_params.cells_per_chunk = kCells;
+    engine_params.chunk_count = 64;
+    auto engine = apps::make_engine(engine_params, scheduler, nic,
+                                    sim::CostModel{});
     telemetry::Telemetry telemetry;
     if (mode != Mode::kBaseline) {
       telemetry.latency.set_enabled(mode == Mode::kEnabled);

@@ -21,7 +21,7 @@
 
 #include "apps/harness.hpp"
 #include "bpf/codegen.hpp"
-#include "bpf/vm.hpp"
+#include "bpf/predecode.hpp"
 #include "net/flow_table.hpp"
 #include "trace/border_router.hpp"
 
@@ -53,16 +53,18 @@ apps::ExperimentConfig base_config() {
 
 struct Signature {
   const char* name;
-  bpf::Program program;
+  bpf::Predecoded filter;
 };
 
 std::vector<Signature> make_signatures() {
   std::vector<Signature> signatures;
-  signatures.push_back(
-      {"udp-to-fermilab",
-       bpf::compile_filter("udp and dst net 131.225.0.0/16")});
-  signatures.push_back({"ssh-traffic", bpf::compile_filter("tcp port 22")});
-  signatures.push_back({"tiny-frames", bpf::compile_filter("len <= 64")});
+  const auto add = [&signatures](const char* name, const char* expression) {
+    signatures.push_back(
+        {name, bpf::Predecoded{bpf::compile_filter(expression)}});
+  };
+  add("udp-to-fermilab", "udp and dst net 131.225.0.0/16");
+  add("ssh-traffic", "tcp port 22");
+  add("tiny-frames", "len <= 64");
   return signatures;
 }
 
@@ -77,7 +79,7 @@ struct IdsState {
     ++inspected;
     ++per_queue_inspected[queue];
     for (std::size_t s = 0; s < signatures.size(); ++s) {
-      if (bpf::matches(signatures[s].program, view.bytes, view.wire_len)) {
+      if (signatures[s].filter.matches(view.bytes, view.wire_len)) {
         ++alerts[s];
       }
     }

@@ -29,7 +29,7 @@
 #include <thread>
 
 #include "bpf/codegen.hpp"
-#include "bpf/vm.hpp"
+#include "bpf/predecode.hpp"
 #include "common/mpmc_queue.hpp"
 #include "driver/chunk_pool.hpp"
 #include "engines/packet_view.hpp"
@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
   // to disk when requested ---
   std::uint64_t delivered = 0, matched = 0, spooled_segments = 0;
   std::thread app_thread([&] {
-    const bpf::Program filter = bpf::compile_filter("131.225.2 and udp");
+    const bpf::Predecoded filter{bpf::compile_filter("131.225.2 and udp")};
     std::unique_ptr<store::SegmentWriter> writer;
     std::vector<engines::CaptureView> chunk_views;
     if (!spool_dir.empty()) {
@@ -164,8 +164,7 @@ int main(int argc, char** argv) {
       for (std::uint32_t cell = 0; cell < meta->pkt_count; ++cell) {
         const auto bytes = pool.cell(meta->chunk_id, cell);
         const driver::CellInfo& info = pool.cell_info(meta->chunk_id, cell);
-        if (bpf::matches(filter, bytes.first(info.length),
-                         info.wire_length)) {
+        if (filter.matches(bytes.first(info.length), info.wire_length)) {
           ++matched;
         }
         if (writer) {

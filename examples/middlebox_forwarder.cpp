@@ -14,10 +14,10 @@
 #include <cstdio>
 #include <memory>
 
+#include "apps/harness.hpp"
 #include "apps/pkt_handler.hpp"
 #include "bpf/codegen.hpp"
-#include "bpf/vm.hpp"
-#include "engines/factory.hpp"
+#include "bpf/predecode.hpp"
 #include "net/bytes.hpp"
 #include "net/checksum.hpp"
 #include "net/headers.hpp"
@@ -62,18 +62,19 @@ int main() {
   nic2_config.nic_id = 2;
   nic::MultiQueueNic nic2{scheduler, bus, nic2_config};
 
-  engines::EngineConfig engine_config;
-  engine_config.cells_per_chunk = 128;
-  engine_config.chunk_count = 160;  // 20,480-packet pool: absorbs the whole burst
-  auto engine_ptr = engines::make_engine("WireCAP-B", nic1, engine_config);
+  apps::EngineParams engine_params;
+  engine_params.cells_per_chunk = 128;
+  engine_params.chunk_count = 160;  // 20,480-packet pool: absorbs the whole burst
+  auto engine_ptr = apps::make_engine(engine_params, scheduler, nic1,
+                                      sim::CostModel{});
   engines::CaptureEngine& engine = *engine_ptr;
   sim::SimCore middlebox_core{scheduler, 0};
 
   // Policy: DNS traffic to the old resolver is redirected.
   const net::Ipv4Addr old_resolver{10, 0, 0, 53};
   const net::Ipv4Addr new_resolver{10, 0, 9, 9};
-  const bpf::Program redirect_filter =
-      bpf::compile_filter("udp and dst host 10.0.0.53");
+  const bpf::Predecoded redirect_filter{
+      bpf::compile_filter("udp and dst host 10.0.0.53")};
 
   // Egress tap: verify what actually leaves NIC2.
   std::uint64_t forwarded = 0, redirected_on_wire = 0, checksum_ok = 0;
@@ -100,7 +101,7 @@ int main() {
   apps::PktHandler middlebox{middlebox_core, engine, 0, handler_config,
                              costs};
   middlebox.set_packet_hook([&](const engines::CaptureView& view) {
-    if (bpf::matches(redirect_filter, view.bytes, view.wire_len)) {
+    if (redirect_filter.matches(view.bytes, view.wire_len)) {
       rewrite_destination(view.bytes, new_resolver);
       ++redirected;
     }

@@ -11,7 +11,7 @@
 // live_capture.cpp for the same pipeline on real threads.
 #include <cstdio>
 
-#include "engines/factory.hpp"
+#include "apps/harness.hpp"
 #include "net/headers.hpp"
 #include "nic/device.hpp"
 #include "nic/wire.hpp"
@@ -34,12 +34,14 @@ int main() {
 
   // 2. The WireCAP engine: a ring buffer pool of R=100 chunks x M=256
   //    cells per receive queue, managed by a dedicated capture thread.
-  //    make_engine builds any registered engine by name ("WireCAP-B",
-  //    "PF_RING", "DPDK", ...) so swapping engines is a string change.
-  engines::EngineConfig engine_config;
-  engine_config.cells_per_chunk = 256;  // M
-  engine_config.chunk_count = 100;      // R
-  auto engine = engines::make_engine("WireCAP-B", nic, engine_config);
+  //    apps::make_engine builds any EngineKind (kWirecapBasic is the
+  //    default; kPfRing, kDpdk, ...), so swapping engines is a one-field
+  //    change.
+  apps::EngineParams engine_params;
+  engine_params.cells_per_chunk = 256;  // M
+  engine_params.chunk_count = 100;      // R
+  auto engine = apps::make_engine(engine_params, scheduler, nic,
+                                  sim::CostModel{});
 
   // 3. A libpcap-compatible handle, like pcap_open_live + pcap_setfilter.
   sim::SimCore app_core{scheduler, /*id=*/0};

@@ -37,7 +37,7 @@
 
 #include "bpf/codegen.hpp"
 #include "bpf/disasm.hpp"
-#include "bpf/vm.hpp"
+#include "bpf/predecode.hpp"
 #include "net/pcapfile.hpp"
 #include "net/pcapng.hpp"
 #include "net/rss.hpp"
@@ -148,12 +148,13 @@ int cmd_filter(const std::string& in, const std::string& out,
   std::printf("compiled '%s' to %zu cBPF instructions:\n%s",
               expression.c_str(), program.size(),
               bpf::disassemble(program).c_str());
+  const bpf::Predecoded filter{program};
   net::PcapReader reader{in};
   net::PcapWriter writer{out, reader.snaplen(), reader.nanosecond()};
   std::uint64_t total = 0, kept = 0;
   while (auto record = reader.next()) {
     ++total;
-    if (bpf::matches(program, record->data, record->orig_len)) {
+    if (filter.matches(record->data, record->orig_len)) {
       writer.write(record->timestamp, record->data, record->orig_len);
       ++kept;
     }

@@ -1,10 +1,10 @@
 #include "apps/harness.hpp"
 
 #include "engines/dpdk_engine.hpp"
-#include "engines/factory.hpp"
 #include "pipeline/spec.hpp"
 #include "telemetry/export.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -46,22 +46,60 @@ std::string EngineParams::label() const {
 }
 
 std::unique_ptr<engines::CaptureEngine> make_engine(
-    const EngineParams& params, sim::Scheduler& /*scheduler*/,
+    const EngineParams& params, sim::Scheduler& scheduler,
     nic::MultiQueueNic& nic, const sim::CostModel& costs) {
-  // Delegates to the engines::make_engine registry — to_string(kind) is
-  // the registered name, EngineParams maps onto EngineConfig.
-  engines::EngineConfig config;
-  config.costs = costs;
-  config.cells_per_chunk = params.cells_per_chunk;
-  config.chunk_count = params.chunk_count;
-  config.offload_threshold = params.offload_threshold;
-  config.offload_policy = params.offload_policy;
-  config.nic_numa_node = params.nic_numa_node;
-  config.queue_numa_node = params.queue_numa_node;
-  return engines::make_engine(to_string(params.kind), nic, config);
+  switch (params.kind) {
+    case EngineKind::kPfRing: {
+      engines::PfRingConfig config;
+      config.kernel_cost_per_packet = costs.pfring_kernel_cost;
+      config.napi_wakeup_delay = costs.napi_wakeup_delay;
+      return std::make_unique<engines::PfRingEngine>(scheduler, nic, config);
+    }
+    case EngineKind::kDna:
+      return std::make_unique<engines::Type2Engine>(nic,
+                                                    engines::dna_config());
+    case EngineKind::kNetmap:
+      return std::make_unique<engines::Type2Engine>(nic,
+                                                    engines::netmap_config());
+    case EngineKind::kPsioe:
+      return std::make_unique<engines::PsioeEngine>(nic,
+                                                    engines::PsioeConfig{});
+    case EngineKind::kWirecapBasic:
+    case EngineKind::kWirecapAdvanced: {
+      core::WirecapConfig config;
+      config.cells_per_chunk = params.cells_per_chunk;
+      config.chunk_count = params.chunk_count;
+      config.offload_policy = params.offload_policy;
+      config.nic_numa_node = params.nic_numa_node;
+      config.queue_numa_node = params.queue_numa_node;
+      if (params.kind == EngineKind::kWirecapAdvanced) {
+        config.offload_threshold = params.offload_threshold;
+      }
+      return std::make_unique<core::WirecapEngine>(scheduler, nic, config,
+                                                   costs);
+    }
+    case EngineKind::kDpdk:
+    case EngineKind::kDpdkAppOffload: {
+      engines::DpdkConfig config;
+      // Match the WireCAP pool under comparison: mempool == R * M.
+      config.mempool_size = params.cells_per_chunk * params.chunk_count;
+      config.app_offload = params.kind == EngineKind::kDpdkAppOffload;
+      config.app_offload_threshold = params.offload_threshold;
+      return std::make_unique<engines::DpdkEngine>(scheduler, nic, config);
+    }
+  }
+  throw std::invalid_argument("make_engine: unknown EngineKind");
 }
 
 Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {
+  if (config_.engine.kind == EngineKind::kWirecapAdvanced &&
+      config_.engine.tenants > config_.num_queues) {
+    // Every tenant owns at least one queue.
+    throw std::invalid_argument(
+        "Experiment: " + std::to_string(config_.engine.tenants) +
+        " tenants need at least as many queues, have " +
+        std::to_string(config_.num_queues));
+  }
   bus_ = std::make_unique<sim::IoBus>(
       scheduler_, Rate{config_.bus_transactions_per_second});
 
@@ -287,6 +325,25 @@ void PipelineFlags::apply(ExperimentConfig& config) const {
   }
 }
 
+namespace {
+
+/// Parses the whole of `text` as a decimal std::uint32_t.  Throws
+/// std::invalid_argument naming `flag` on a sign, an overflow, an empty
+/// value or trailing characters (std::stoul would wrap "-1" silently).
+std::uint32_t parse_u32_flag(std::string_view flag, std::string_view text) {
+  std::uint32_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument(std::string(flag) + " needs an unsigned " +
+                                "32-bit integer, got \"" + std::string(text) +
+                                "\"");
+  }
+  return value;
+}
+
+}  // namespace
+
 EngineFlags parse_engine_flags(int argc, char** argv) {
   EngineFlags flags;
   constexpr std::string_view kPolicy = "--offload-policy=";
@@ -298,11 +355,11 @@ EngineFlags parse_engine_flags(int argc, char** argv) {
       flags.offload_policy =
           parse_offload_policy(arg.substr(kPolicy.size()));
     } else if (arg.starts_with(kTenants)) {
-      flags.tenants = static_cast<std::uint32_t>(
-          std::stoul(std::string(arg.substr(kTenants.size()))));
+      flags.tenants =
+          parse_u32_flag("--tenants", arg.substr(kTenants.size()));
     } else if (arg.starts_with(kQuota)) {
-      flags.tenant_quota = static_cast<std::uint32_t>(
-          std::stoul(std::string(arg.substr(kQuota.size()))));
+      flags.tenant_quota =
+          parse_u32_flag("--tenant-quota", arg.substr(kQuota.size()));
     }
   }
   return flags;

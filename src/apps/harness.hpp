@@ -49,7 +49,8 @@ struct EngineParams {
   /// Tenants sharing the NIC (kWirecapAdvanced only): the queues are
   /// partitioned into `tenants` contiguous slices, each registered as
   /// its own TenantSpec/buddy group.  1 keeps the paper's single
-  /// "multi_pkt_handler application" arrangement.
+  /// "multi_pkt_handler application" arrangement.  More tenants than
+  /// queues makes the Experiment constructor throw.
   std::uint32_t tenants = 1;
   /// Per-tenant chunk-pool quota (0 = each tenant's full pools).
   std::uint32_t tenant_quota = 0;
@@ -161,8 +162,8 @@ struct PipelineFlags {
 ///   --tenants=N             partition the queues into N tenant groups
 ///   --tenant-quota=N        per-tenant chunk quota (0 = uncapped)
 /// Strings are converted (and unknown values rejected with the allowed
-/// set spelled out) right here at the CLI boundary — EngineParams and
-/// EngineConfig carry enums only.
+/// set spelled out) right here at the CLI boundary — EngineParams
+/// carries enums only.
 struct EngineFlags {
   std::optional<core::OffloadPolicy> offload_policy;
   std::optional<std::uint32_t> tenants;
@@ -174,7 +175,8 @@ struct EngineFlags {
   void apply(EngineParams& params) const;
 };
 
-/// Throws std::invalid_argument on an unknown policy name.
+/// Throws std::invalid_argument on an unknown policy name, or a tenant
+/// count or quota that is not a whole unsigned 32-bit decimal.
 [[nodiscard]] EngineFlags parse_engine_flags(int argc, char** argv);
 
 struct QueueResult {
@@ -291,7 +293,12 @@ class Experiment {
   std::unique_ptr<wirecap::telemetry::Sampler> sampler_;
 };
 
-/// Creates an engine of `kind` over `nic`.
+/// Creates the engine `params.kind` names (to_string(kind) is its
+/// name()) over `nic`, building that engine's own config from `params`
+/// and `costs`: the one mapping from an EngineKind to an engine.
+/// Fields an engine does not use are ignored (PF_RING reads only
+/// `costs`); WireCAP reads M, R, the policy and the NUMA placement, and
+/// T only for kWirecapAdvanced; the DPDK mempool is matched to R*M.
 [[nodiscard]] std::unique_ptr<engines::CaptureEngine> make_engine(
     const EngineParams& params, sim::Scheduler& scheduler,
     nic::MultiQueueNic& nic, const sim::CostModel& costs);

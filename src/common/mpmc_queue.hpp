@@ -10,7 +10,6 @@
 // operation.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -105,25 +104,6 @@ class MpmcQueue {
     {
       std::unique_lock lock(mutex_);
       not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-      if (items_.empty()) return std::nullopt;
-      value = std::move(items_.front());
-      items_.pop_front();
-    }
-    not_full_.notify_one();
-    return value;
-  }
-
-  /// Blocking pop with timeout; mirrors the paper's capture operation,
-  /// which "will be blocked with a timeout".  Returns nullopt on timeout
-  /// or closed-and-drained.
-  std::optional<T> pop_for(std::chrono::nanoseconds timeout) {
-    std::optional<T> value;
-    {
-      std::unique_lock lock(mutex_);
-      if (!not_empty_.wait_for(lock, timeout,
-                               [&] { return closed_ || !items_.empty(); })) {
-        return std::nullopt;
-      }
       if (items_.empty()) return std::nullopt;
       value = std::move(items_.front());
       items_.pop_front();

@@ -1,6 +1,5 @@
 #include "common/rng.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -25,34 +24,6 @@ double Xoshiro256::next_exponential(double mean) {
   }
   // 1 - U in (0, 1] avoids log(0).
   return -mean * std::log(1.0 - next_double());
-}
-
-double Xoshiro256::next_bounded_pareto(double alpha, double lo, double hi) {
-  if (alpha <= 0.0 || lo <= 0.0 || hi <= lo) {
-    throw std::invalid_argument("next_bounded_pareto: need alpha>0, 0<lo<hi");
-  }
-  const double u = next_double();
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
-}
-
-ZipfSampler::ZipfSampler(double skew, std::uint32_t n) {
-  if (n == 0) throw std::invalid_argument("ZipfSampler: n must be positive");
-  cdf_.resize(n);
-  double total = 0.0;
-  for (std::uint32_t k = 0; k < n; ++k) {
-    total += 1.0 / std::pow(static_cast<double>(k + 1), skew);
-    cdf_[k] = total;
-  }
-  for (auto& v : cdf_) v /= total;
-}
-
-std::uint32_t ZipfSampler::sample(Xoshiro256& rng) const {
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  const auto idx = static_cast<std::uint32_t>(it - cdf_.begin());
-  return idx < cdf_.size() ? idx : static_cast<std::uint32_t>(cdf_.size() - 1);
 }
 
 }  // namespace wirecap

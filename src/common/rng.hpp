@@ -3,14 +3,13 @@
 // All experiment randomness flows from a single seeded Xoshiro256**
 // generator so that every benchmark run reproduces the paper figures
 // bit-for-bit.  Distribution helpers cover the shapes needed by the
-// border-router traffic model: uniform, exponential (Poisson arrivals),
-// bounded Pareto (heavy-tailed flow sizes) and Zipf (flow popularity).
+// border-router traffic model: uniform and exponential (Poisson
+// arrivals).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace wirecap {
 
@@ -81,10 +80,6 @@ class Xoshiro256 {
   /// Exponential with mean `mean` (> 0).
   double next_exponential(double mean);
 
-  /// Bounded Pareto on [lo, hi] with shape alpha (> 0): the classic
-  /// heavy-tailed flow-size distribution.
-  double next_bounded_pareto(double alpha, double lo, double hi);
-
   /// Forks an independent generator (jump via reseeding from this
   /// stream); used to give each traffic source its own stream.
   Xoshiro256 fork() { return Xoshiro256{next()}; }
@@ -95,21 +90,6 @@ class Xoshiro256 {
   }
 
   std::array<std::uint64_t, 4> state_{};
-};
-
-/// Zipf(s, n) sampler over {0, .., n-1} using precomputed CDF with binary
-/// search — exact, O(log n) per sample.  Used for flow-popularity skew.
-class ZipfSampler {
- public:
-  ZipfSampler(double skew, std::uint32_t n);
-
-  [[nodiscard]] std::uint32_t sample(Xoshiro256& rng) const;
-  [[nodiscard]] std::uint32_t size() const {
-    return static_cast<std::uint32_t>(cdf_.size());
-  }
-
- private:
-  std::vector<double> cdf_;
 };
 
 }  // namespace wirecap

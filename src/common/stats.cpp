@@ -1,10 +1,7 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstdio>
-#include <numeric>
 #include <stdexcept>
 
 namespace wirecap {
@@ -34,64 +31,6 @@ double BinnedSeries::mean() const {
   if (bins_.empty()) return 0.0;
   return static_cast<double>(total_) / static_cast<double>(bins_.size());
 }
-
-Log2Histogram::Log2Histogram() : buckets_(65, 0) {}
-
-void Log2Histogram::record(std::uint64_t value) {
-  const std::size_t bucket = value == 0 ? 0 : std::bit_width(value);
-  buckets_[bucket] += 1;
-  ++count_;
-}
-
-double Log2Histogram::quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count_);
-  std::size_t last = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] > 0) last = i;
-  }
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;
-    const double next = cumulative + static_cast<double>(buckets_[i]);
-    if (next >= target) {
-      // Bucket 0 is degenerate — it holds only the value 0 — so there
-      // is nothing to interpolate across.
-      if (i == 0) return 0.0;
-      const double lo = std::ldexp(1.0, static_cast<int>(i) - 1);
-      const double hi = std::ldexp(1.0, static_cast<int>(i));
-      const double within =
-          (target - cumulative) / static_cast<double>(buckets_[i]);
-      return lo + within * (hi - lo);
-    }
-    cumulative = next;
-  }
-  // Reachable only when floating-point dust pushes `target` past the
-  // total: answer with the upper bound of the last non-empty bucket
-  // rather than an impossible 2^64.
-  return last == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(last));
-}
-
-void SummaryStats::record(double value) {
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  const double delta = value - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (value - mean_);
-}
-
-double SummaryStats::variance() const {
-  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double SummaryStats::stddev() const { return std::sqrt(variance()); }
 
 std::string with_thousands(std::uint64_t value) {
   std::string digits = std::to_string(value);

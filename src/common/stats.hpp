@@ -1,5 +1,6 @@
 // Statistics collection for experiments: binned time series (the 10 ms
-// bins of Figure 3), log-bucketed histograms, and running summaries.
+// bins of Figure 3) and the number formatting the benches print with.
+// Latency distributions use telemetry::HdrHistogram.
 #pragma once
 
 #include <cstdint>
@@ -25,11 +26,6 @@ class BinnedSeries {
   [[nodiscard]] const std::vector<std::uint64_t>& bins() const { return bins_; }
   [[nodiscard]] std::uint64_t total() const { return total_; }
 
-  /// Start time of bin i.
-  [[nodiscard]] Nanos bin_start(std::size_t i) const {
-    return Nanos{static_cast<std::int64_t>(i) * bin_width_.count()};
-  }
-
   /// Largest bin value — the peak burst intensity.
   [[nodiscard]] std::uint64_t peak() const;
 
@@ -40,48 +36,6 @@ class BinnedSeries {
   Nanos bin_width_;
   std::vector<std::uint64_t> bins_;
   std::uint64_t total_ = 0;
-};
-
-/// Power-of-two bucketed histogram for latency-like quantities.
-class Log2Histogram {
- public:
-  Log2Histogram();
-
-  void record(std::uint64_t value);
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
-    return buckets_.at(i);
-  }
-  [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
-
-  /// Approximate quantile (q in [0,1]) assuming uniform density within a
-  /// bucket.
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  std::vector<std::uint64_t> buckets_;  // bucket i holds values in [2^(i-1), 2^i)
-  std::uint64_t count_ = 0;
-};
-
-/// Running mean / variance / extrema via Welford's algorithm.
-class SummaryStats {
- public:
-  void record(double value);
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] double mean() const { return count_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return count_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
-
- private:
-  std::uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Formats `value` with thousands separators ("14,880,952").

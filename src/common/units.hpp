@@ -30,9 +30,6 @@ class Nanos {
   [[nodiscard]] constexpr double millis() const {
     return static_cast<double>(ns_) * 1e-6;
   }
-  [[nodiscard]] constexpr double micros() const {
-    return static_cast<double>(ns_) * 1e-3;
-  }
 
   [[nodiscard]] static constexpr Nanos from_seconds(double s) {
     return Nanos{static_cast<std::int64_t>(s * 1e9)};
@@ -94,16 +91,6 @@ class Rate {
   /// Number of whole events that fit in `window` at this rate.
   [[nodiscard]] constexpr std::int64_t events_in(Nanos window) const {
     return static_cast<std::int64_t>(per_second_ * window.seconds());
-  }
-
-  [[nodiscard]] static constexpr Rate per_second_of(double v) {
-    return Rate{v};
-  }
-  [[nodiscard]] static constexpr Rate mega_per_second(double v) {
-    return Rate{v * 1e6};
-  }
-  [[nodiscard]] static constexpr Rate kilo_per_second(double v) {
-    return Rate{v * 1e3};
   }
 
   constexpr auto operator<=>(const Rate&) const = default;

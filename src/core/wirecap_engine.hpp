@@ -330,9 +330,6 @@ class WirecapEngine final : public engines::CaptureEngine {
   [[nodiscard]] static constexpr std::uint32_t handle_chunk(std::uint64_t h) {
     return static_cast<std::uint32_t>((h >> 24) & 0xFFFFFF);
   }
-  [[nodiscard]] static constexpr std::uint32_t handle_cell(std::uint64_t h) {
-    return static_cast<std::uint32_t>(h & 0xFFFFFF);
-  }
   [[nodiscard]] static constexpr std::uint64_t handle_key(std::uint64_t h) {
     return chunk_key(handle_ring(h), handle_chunk(h), handle_epoch(h));
   }

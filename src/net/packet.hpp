@@ -41,7 +41,6 @@ class WirePacket {
                                std::uint32_t wire_len, std::uint64_t seq = 0);
 
   [[nodiscard]] Nanos timestamp() const { return timestamp_; }
-  void set_timestamp(Nanos t) { timestamp_ = t; }
 
   /// Full length of the frame on the wire (excluding FCS/preamble).
   [[nodiscard]] std::uint32_t wire_len() const { return wire_len_; }

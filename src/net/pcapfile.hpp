@@ -76,7 +76,6 @@ class PcapReader {
   std::vector<PcapRecord> read_all();
 
   [[nodiscard]] bool nanosecond() const { return nanosecond_; }
-  [[nodiscard]] bool swapped() const { return swapped_; }
   [[nodiscard]] std::uint32_t snaplen() const { return snaplen_; }
   [[nodiscard]] std::uint32_t linktype() const { return linktype_; }
 

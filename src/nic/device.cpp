@@ -172,12 +172,6 @@ std::uint64_t MultiQueueNic::total_rx_dropped() const {
   return total;
 }
 
-std::uint64_t MultiQueueNic::total_received() const {
-  std::uint64_t total = 0;
-  for (const auto& s : rx_stats_) total += s.received;
-  return total;
-}
-
 std::uint64_t MultiQueueNic::total_transmitted() const {
   std::uint64_t total = 0;
   for (const auto& s : tx_stats_) total += s.transmitted;

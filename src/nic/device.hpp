@@ -109,7 +109,6 @@ class MultiQueueNic {
     return tx_stats_.at(queue);
   }
   [[nodiscard]] std::uint64_t total_rx_dropped() const;
-  [[nodiscard]] std::uint64_t total_received() const;
   [[nodiscard]] std::uint64_t total_transmitted() const;
 
  private:

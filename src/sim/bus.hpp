@@ -51,9 +51,6 @@ class IoBus {
                            std::function<void()>(std::forward<Done>(done)));
   }
 
-  /// Virtual time at which the bus becomes free.
-  [[nodiscard]] Nanos busy_until() const { return busy_until_; }
-
   /// Total transactions issued, for reporting.
   [[nodiscard]] double total_transactions() const { return total_; }
 

@@ -6,7 +6,7 @@
 
 #include "bpf/codegen.hpp"
 #include "bpf/parser.hpp"
-#include "bpf/vm.hpp"
+#include "bpf/predecode.hpp"
 #include "net/headers.hpp"
 #include "store/spool.hpp"
 
@@ -174,8 +174,9 @@ StoreReadStats StoreReader::read_merged(
   StoreReadStats stats;
   stats.segments_total = files_.size();
 
-  std::optional<bpf::Program> program;
-  if (!query.filter.empty()) program = bpf::compile_filter(query.filter);
+  // Compiled, verified and pre-decoded once per query, not per record.
+  std::optional<bpf::Predecoded> filter;
+  if (!query.filter.empty()) filter.emplace(bpf::compile_filter(query.filter));
   // A filter that pins a full 5-tuple prunes segments like an exact
   // flow query does.
   const std::vector<net::FlowKey> filter_flows =
@@ -270,8 +271,8 @@ StoreReadStats StoreReader::read_merged(
     if (matches && query.flow) {
       matches = net::parse_flow(record.data) == *query.flow;
     }
-    if (matches && program) {
-      matches = bpf::run(*program, record.data, record.orig_len) != 0;
+    if (matches && filter) {
+      matches = filter->matches(record.data, record.orig_len);
     }
     if (matches) {
       ++stats.packets_matched;

@@ -22,7 +22,6 @@ void StoreSink::poll() {
     }
     auto chunk = engine_.try_next_chunk(queue_);
     if (!chunk) return;
-    ++chunks_consumed_;
     packets_consumed_ += chunk->packets.size();
     shard_.offer(std::move(*chunk),
                  [this](const engines::ChunkCaptureView& done) {

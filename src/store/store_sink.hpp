@@ -35,9 +35,6 @@ class StoreSink {
   /// Consumes until the engine is empty or (kBlock) the shard is full.
   void poll();
 
-  [[nodiscard]] std::uint64_t chunks_consumed() const {
-    return chunks_consumed_;
-  }
   [[nodiscard]] std::uint64_t packets_consumed() const {
     return packets_consumed_;
   }
@@ -46,7 +43,6 @@ class StoreSink {
   engines::CaptureEngine& engine_;
   std::uint32_t queue_;
   SpoolShard& shard_;
-  std::uint64_t chunks_consumed_ = 0;
   std::uint64_t packets_consumed_ = 0;
 };
 

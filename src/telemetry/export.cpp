@@ -73,42 +73,6 @@ void append_u64(std::string& out, std::uint64_t v) {
   out += std::to_string(v);
 }
 
-void append_histogram(std::string& out, const Log2Histogram& hist) {
-  out += "\"count\":";
-  append_u64(out, hist.count());
-  out += ",\"p50\":";
-  append_number(out, hist.quantile(0.5));
-  out += ",\"p90\":";
-  append_number(out, hist.quantile(0.9));
-  out += ",\"p99\":";
-  append_number(out, hist.quantile(0.99));
-  out += ",\"buckets\":{";
-  bool first = true;
-  for (std::size_t i = 0; i < hist.bucket_count(); ++i) {
-    if (hist.bucket(i) == 0) continue;
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    out += std::to_string(i);
-    out += "\":";
-    append_u64(out, hist.bucket(i));
-  }
-  out.push_back('}');
-}
-
-void append_summary(std::string& out, const SummaryStats& stats) {
-  out += "\"count\":";
-  append_u64(out, stats.count());
-  out += ",\"mean\":";
-  append_number(out, stats.mean());
-  out += ",\"stddev\":";
-  append_number(out, stats.stddev());
-  out += ",\"min\":";
-  append_number(out, stats.min());
-  out += ",\"max\":";
-  append_number(out, stats.max());
-}
-
 void append_series(std::string& out, const BinnedSeries& series) {
   out += "\"bin_width_ns\":";
   append_u64(out, static_cast<std::uint64_t>(series.bin_width().count()));
@@ -148,21 +112,13 @@ std::string metrics_to_json(const MetricRegistry& registry) {
         out += "\"value\":";
         append_number(out, MetricRegistry::gauge_value(entry));
         break;
-      case MetricKind::kHistogram:
-        append_histogram(out, *entry.histogram);
-        break;
-      case MetricKind::kSummary:
-        append_summary(out, *entry.summary);
-        break;
-      case MetricKind::kSeries: {
-        const BinnedSeries* series = MetricRegistry::series_of(entry);
-        if (series) {
-          append_series(out, *series);
+      case MetricKind::kSeries:
+        if (entry.series_view) {
+          append_series(out, *entry.series_view);
         } else {
           out += "\"total\":0";
         }
         break;
-      }
     }
     out += "}";
   }
@@ -188,33 +144,8 @@ std::string metrics_to_csv(const MetricRegistry& registry) {
         append_number(row, MetricRegistry::gauge_value(entry));
         row += ",,,,,,";
         break;
-      case MetricKind::kHistogram: {
-        const Log2Histogram& hist = *entry.histogram;
-        row.push_back(',');
-        append_u64(row, hist.count());
-        row += ",,";
-        append_number(row, hist.quantile(0.5));
-        row.push_back(',');
-        append_number(row, hist.quantile(0.9));
-        row.push_back(',');
-        append_number(row, hist.quantile(0.99));
-        row += ",,,";
-        break;
-      }
-      case MetricKind::kSummary: {
-        const SummaryStats& stats = *entry.summary;
-        row.push_back(',');
-        append_u64(row, stats.count());
-        row += ",,,,,";
-        append_number(row, stats.min());
-        row.push_back(',');
-        append_number(row, stats.max());
-        row.push_back(',');
-        append_number(row, stats.mean());
-        break;
-      }
       case MetricKind::kSeries: {
-        const BinnedSeries* series = MetricRegistry::series_of(entry);
+        const BinnedSeries* series = entry.series_view;
         row.push_back(',');
         append_u64(row, series ? series->total() : 0);
         row += ",,,,,,";

@@ -20,7 +20,9 @@ namespace wirecap::telemetry {
 [[nodiscard]] std::string metrics_to_json(const MetricRegistry& registry);
 
 /// Flat CSV (name,kind,count,value,p50,p90,p99,min,max,mean) with empty
-/// fields where a column does not apply to the metric kind.
+/// fields where a column does not apply to the metric kind.  No kind
+/// fills p50/p90/p99/min today; the header keeps them so existing
+/// readers of the file see the same columns.
 [[nodiscard]] std::string metrics_to_csv(const MetricRegistry& registry);
 
 /// Chrome-trace JSON ({"traceEvents":[...]}) of the retained events —

@@ -36,9 +36,8 @@ namespace wirecap::telemetry {
 ///
 /// Layout: indices [0, 32) hold values 0..31 exactly; above that each
 /// octave `o` (values [2^o, 2^(o+1))) is split into 32 linear
-/// sub-buckets of width 2^(o-5).  Recording, like Log2Histogram, is a
-/// handful of bit operations; quantiles interpolate uniformly within
-/// the hit bucket.
+/// sub-buckets of width 2^(o-5).  Recording is a handful of bit
+/// operations; quantiles interpolate uniformly within the hit bucket.
 class HdrHistogram {
  public:
   static constexpr std::uint32_t kSubBucketBits = 5;
@@ -58,8 +57,8 @@ class HdrHistogram {
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] std::uint64_t max_value() const { return max_; }
 
-  /// Value at quantile q in [0, 1], interpolated within the bucket.
-  /// Mirrors Log2Histogram::quantile; returns 0 on an empty histogram.
+  /// Value at quantile q in [0, 1], interpolated within the bucket;
+  /// returns 0 on an empty histogram.
   [[nodiscard]] double quantile(double q) const;
 
   void merge(const HdrHistogram& other);

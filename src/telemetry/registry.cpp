@@ -1,6 +1,5 @@
 #include "telemetry/registry.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <stdexcept>
 
@@ -10,8 +9,6 @@ const char* to_string(MetricKind kind) {
   switch (kind) {
     case MetricKind::kCounter: return "counter";
     case MetricKind::kGauge: return "gauge";
-    case MetricKind::kHistogram: return "histogram";
-    case MetricKind::kSummary: return "summary";
     case MetricKind::kSeries: return "series";
   }
   return "?";
@@ -46,41 +43,6 @@ MetricRegistry::Counter MetricRegistry::counter(const std::string& name) {
   return Counter{entry.counter};
 }
 
-MetricRegistry::Gauge MetricRegistry::gauge(const std::string& name) {
-  Entry& entry = get_or_create(name, MetricKind::kGauge);
-  if (!entry.gauge) {
-    if (entry.gauge_fn) {
-      throw std::logic_error("MetricRegistry: gauge '" + name +
-                             "' is bound to a callback");
-    }
-    entry.gauge = std::make_shared<double>(0.0);
-  }
-  return Gauge{entry.gauge};
-}
-
-MetricRegistry::Histogram MetricRegistry::histogram(const std::string& name) {
-  Entry& entry = get_or_create(name, MetricKind::kHistogram);
-  if (!entry.histogram) entry.histogram = std::make_shared<Log2Histogram>();
-  return Histogram{entry.histogram};
-}
-
-MetricRegistry::Summary MetricRegistry::summary(const std::string& name) {
-  Entry& entry = get_or_create(name, MetricKind::kSummary);
-  if (!entry.summary) entry.summary = std::make_shared<SummaryStats>();
-  return Summary{entry.summary};
-}
-
-MetricRegistry::Series MetricRegistry::series(const std::string& name,
-                                              Nanos bin_width) {
-  Entry& entry = get_or_create(name, MetricKind::kSeries);
-  if (entry.series_view) {
-    throw std::logic_error("MetricRegistry: series '" + name +
-                           "' is bound to a view");
-  }
-  if (!entry.series) entry.series = std::make_shared<BinnedSeries>(bin_width);
-  return Series{entry.series};
-}
-
 void MetricRegistry::bind_counter(const std::string& name,
                                   std::function<std::uint64_t()> fn) {
   Entry& entry = get_or_create(name, MetricKind::kCounter);
@@ -93,22 +55,12 @@ void MetricRegistry::bind_counter(const std::string& name,
 
 void MetricRegistry::bind_gauge(const std::string& name,
                                 std::function<double()> fn) {
-  Entry& entry = get_or_create(name, MetricKind::kGauge);
-  if (entry.gauge) {
-    throw std::logic_error("MetricRegistry: gauge '" + name +
-                           "' already owned by a handle");
-  }
-  entry.gauge_fn = std::move(fn);
+  get_or_create(name, MetricKind::kGauge).gauge_fn = std::move(fn);
 }
 
 void MetricRegistry::bind_series(const std::string& name,
                                  const BinnedSeries* view) {
-  Entry& entry = get_or_create(name, MetricKind::kSeries);
-  if (entry.series) {
-    throw std::logic_error("MetricRegistry: series '" + name +
-                           "' already owned by a handle");
-  }
-  entry.series_view = view;
+  get_or_create(name, MetricKind::kSeries).series_view = view;
 }
 
 std::uint64_t MetricRegistry::counter_value(const Entry& entry) {
@@ -118,31 +70,7 @@ std::uint64_t MetricRegistry::counter_value(const Entry& entry) {
 }
 
 double MetricRegistry::gauge_value(const Entry& entry) {
-  if (entry.gauge) return *entry.gauge;
-  if (entry.gauge_fn) return entry.gauge_fn();
-  return 0.0;
-}
-
-const BinnedSeries* MetricRegistry::series_of(const Entry& entry) {
-  if (entry.series) return entry.series.get();
-  return entry.series_view;
-}
-
-std::string MetricRegistry::labeled(
-    std::string_view name,
-    std::vector<std::pair<std::string, std::string>> labels) {
-  if (labels.empty()) return std::string{name};
-  std::sort(labels.begin(), labels.end());
-  std::string out{name};
-  out.push_back('{');
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    out += labels[i].first;
-    out.push_back('=');
-    out += labels[i].second;
-  }
-  out.push_back('}');
-  return out;
+  return entry.gauge_fn ? entry.gauge_fn() : 0.0;
 }
 
 std::string MetricRegistry::sanitize_component(std::string_view name) {

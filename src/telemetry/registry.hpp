@@ -1,18 +1,22 @@
-// The metrics registry — one tree for every counter, gauge and
-// distribution the reproduction collects (ROADMAP: unified telemetry).
+// The metrics registry — one tree for every counter, gauge and series
+// the reproduction collects (ROADMAP: unified telemetry).
 //
 // Metrics live under hierarchical dotted names ("engine.wirecap_a.q3.
 // delivered"); the registry keeps them in a sorted map so snapshots and
 // exports are deterministic.  Two flavours coexist:
 //
-//   * owned metrics — the registry allocates the cell and hands out a
-//     cheap copyable handle (Counter/Gauge/Histogram/Summary/Series);
+//   * owned counters — the registry allocates the cell and hands out a
+//     cheap copyable Counter handle;
 //   * bound metrics — a callback (or a const view of an existing stats
 //     object) is registered as the value source, which lets the long-
 //     standing per-component structs (engines::EngineQueueStats,
 //     driver::WirecapDriverStats, core::WirecapQueueExtraStats, the
 //     queue_profiler BinnedSeries) publish through the same tree without
 //     adding a single instruction to the paths that update them.
+//
+// Latency distributions are not registry metrics: they live in
+// telemetry::HdrHistogram (latency.hpp) and publish their percentiles
+// as bound gauges.
 //
 // Collision rules: requesting an existing name with the same kind
 // returns the existing metric (owned) or replaces the source (bound);
@@ -25,7 +29,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/stats.hpp"
 #include "common/units.hpp"
@@ -33,11 +36,9 @@
 namespace wirecap::telemetry {
 
 enum class MetricKind : std::uint8_t {
-  kCounter,    // monotone std::uint64_t
-  kGauge,      // instantaneous double
-  kHistogram,  // Log2Histogram
-  kSummary,    // SummaryStats
-  kSeries,     // BinnedSeries (virtual-time binned counts)
+  kCounter,  // monotone std::uint64_t
+  kGauge,    // instantaneous double
+  kSeries,   // BinnedSeries (virtual-time binned counts)
 };
 
 [[nodiscard]] const char* to_string(MetricKind kind);
@@ -57,77 +58,18 @@ class MetricRegistry {
     std::shared_ptr<std::uint64_t> cell_;
   };
 
-  class Gauge {
-   public:
-    Gauge() = default;
-    void set(double v) { *cell_ = v; }
-    [[nodiscard]] double value() const { return cell_ ? *cell_ : 0.0; }
-
-   private:
-    friend class MetricRegistry;
-    explicit Gauge(std::shared_ptr<double> cell) : cell_(std::move(cell)) {}
-    std::shared_ptr<double> cell_;
-  };
-
-  class Histogram {
-   public:
-    Histogram() = default;
-    void record(std::uint64_t v) { cell_->record(v); }
-    [[nodiscard]] const Log2Histogram& hist() const { return *cell_; }
-
-   private:
-    friend class MetricRegistry;
-    explicit Histogram(std::shared_ptr<Log2Histogram> cell)
-        : cell_(std::move(cell)) {}
-    std::shared_ptr<Log2Histogram> cell_;
-  };
-
-  class Summary {
-   public:
-    Summary() = default;
-    void record(double v) { cell_->record(v); }
-    [[nodiscard]] const SummaryStats& stats() const { return *cell_; }
-
-   private:
-    friend class MetricRegistry;
-    explicit Summary(std::shared_ptr<SummaryStats> cell)
-        : cell_(std::move(cell)) {}
-    std::shared_ptr<SummaryStats> cell_;
-  };
-
-  class Series {
-   public:
-    Series() = default;
-    void record(Nanos t, std::uint64_t n = 1) { cell_->record(t, n); }
-    [[nodiscard]] const BinnedSeries& series() const { return *cell_; }
-
-   private:
-    friend class MetricRegistry;
-    explicit Series(std::shared_ptr<BinnedSeries> cell)
-        : cell_(std::move(cell)) {}
-    std::shared_ptr<BinnedSeries> cell_;
-  };
-
-  /// One registered metric.  Exactly one of the owned cells / bound
-  /// sources matching `kind` is set.
+  /// One registered metric.  Exactly one of the sources matching `kind`
+  /// is set: an owned or bound counter, a bound gauge, a series view.
   struct Entry {
     MetricKind kind = MetricKind::kCounter;
     std::shared_ptr<std::uint64_t> counter;
     std::function<std::uint64_t()> counter_fn;
-    std::shared_ptr<double> gauge;
     std::function<double()> gauge_fn;
-    std::shared_ptr<Log2Histogram> histogram;
-    std::shared_ptr<SummaryStats> summary;
-    std::shared_ptr<BinnedSeries> series;
     const BinnedSeries* series_view = nullptr;
   };
 
-  // --- owned metrics (get-or-create) ---
+  /// Owned counter (get-or-create).
   Counter counter(const std::string& name);
-  Gauge gauge(const std::string& name);
-  Histogram histogram(const std::string& name);
-  Summary summary(const std::string& name);
-  Series series(const std::string& name, Nanos bin_width);
 
   // --- bound metrics (register-or-replace the source) ---
   void bind_counter(const std::string& name, std::function<std::uint64_t()> fn);
@@ -149,14 +91,6 @@ class MetricRegistry {
   /// Resolved current value of a counter/gauge entry (owned or bound).
   [[nodiscard]] static std::uint64_t counter_value(const Entry& entry);
   [[nodiscard]] static double gauge_value(const Entry& entry);
-  /// The series an entry exposes (owned or view); null when absent.
-  [[nodiscard]] static const BinnedSeries* series_of(const Entry& entry);
-
-  /// Formats "name{k1=v1,k2=v2}" with labels sorted by key, the
-  /// canonical spelling for labeled metrics.
-  [[nodiscard]] static std::string labeled(
-      std::string_view name,
-      std::vector<std::pair<std::string, std::string>> labels);
 
   /// Lowercases `component` and maps every non-alphanumeric character to
   /// '_' so engine names ("WireCAP-A") become path segments

@@ -6,13 +6,13 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "apps/harness.hpp"
 #include "bpf/codegen.hpp"
 #include "bpf/disasm.hpp"
 #include "bpf/eval.hpp"
 #include "bpf/parser.hpp"
 #include "bpf/predecode.hpp"
 #include "bpf/vm.hpp"
-#include "engines/factory.hpp"
 #include "net/headers.hpp"
 #include "net/packet.hpp"
 #include "nic/device.hpp"
@@ -667,6 +667,31 @@ LabeledTraffic generate_labeled_traffic(std::uint64_t seed,
   return out;
 }
 
+/// The five engines both engine difftests drive, with the names their
+/// reports print.
+struct DifftestEngine {
+  const char* display;
+  apps::EngineKind kind;
+};
+constexpr std::array<DifftestEngine, 5> kDifftestEngines{
+    {{"PF_RING", apps::EngineKind::kPfRing},
+     {"DNA", apps::EngineKind::kDna},
+     {"NETMAP", apps::EngineKind::kNetmap},
+     {"PSIOE", apps::EngineKind::kPsioe},
+     {"WireCAP", apps::EngineKind::kWirecapBasic}}};
+
+/// Small WireCAP geometry so a run cycles the pool; the other engine
+/// kinds ignore these fields.
+std::unique_ptr<engines::CaptureEngine> make_difftest_engine(
+    apps::EngineKind kind, sim::Scheduler& scheduler,
+    nic::MultiQueueNic& nic) {
+  apps::EngineParams params;
+  params.kind = kind;
+  params.cells_per_chunk = 64;
+  params.chunk_count = 40;
+  return apps::make_engine(params, scheduler, nic, sim::CostModel{});
+}
+
 }  // namespace
 
 EngineCrosscheckResult run_engine_crosscheck(
@@ -685,21 +710,15 @@ EngineCrosscheckResult run_engine_crosscheck(
   const std::set<std::uint32_t>& oracle = labeled.oracle;
   result.oracle_matched = oracle.size();
 
-  // Small WireCAP geometry so the run cycles the pool; the other
-  // factory entries ignore these fields.
-  engines::EngineConfig engine_config;
-  engine_config.cells_per_chunk = 64;
-  engine_config.chunk_count = 40;
-
   const auto run_engine =
       [&](const std::string& name,
-          const std::string& factory_name) -> EngineCrosscheckResult::PerEngine {
+          apps::EngineKind kind) -> EngineCrosscheckResult::PerEngine {
     sim::Scheduler scheduler;
     sim::IoBus bus{scheduler};
     nic::NicConfig nic_config;
     nic_config.num_rx_queues = 1;
     nic::MultiQueueNic nic{scheduler, bus, nic_config};
-    auto engine = engines::make_engine(factory_name, nic, engine_config);
+    auto engine = make_difftest_engine(kind, scheduler, nic);
     sim::SimCore app_core{scheduler, 0};
     pcap::PcapHandle handle{scheduler, *engine, nic, 0, app_core};
     handle.set_filter(prog);
@@ -764,11 +783,9 @@ EngineCrosscheckResult run_engine_crosscheck(
     return per;
   };
 
-  result.engines.push_back(run_engine("PF_RING", "PF_RING"));
-  result.engines.push_back(run_engine("DNA", "DNA"));
-  result.engines.push_back(run_engine("NETMAP", "NETMAP"));
-  result.engines.push_back(run_engine("PSIOE", "PSIOE"));
-  result.engines.push_back(run_engine("WireCAP", "WireCAP-B"));
+  for (const DifftestEngine& entry : kDifftestEngines) {
+    result.engines.push_back(run_engine(entry.display, entry.kind));
+  }
 
   // The per-engine sets were each compared to the oracle; equal counts
   // across engines then certify identical sets.
@@ -807,10 +824,6 @@ BatchEquivalenceResult run_batch_equivalence(
   const bpf::Predecoded pre{labeled.prog};
   const std::size_t max_batch = std::max<std::uint32_t>(1, config.max_batch);
 
-  engines::EngineConfig engine_config;
-  engine_config.cells_per_chunk = 64;
-  engine_config.chunk_count = 40;
-
   // Everything the comparison needs about one delivery, copied out at
   // read time (engine-buffered views go stale once released).
   struct Delivery {
@@ -826,7 +839,7 @@ BatchEquivalenceResult run_batch_equivalence(
 
   Xoshiro256 adversity{config.seed ^ 0x9e3779b97f4a7c15ULL};
 
-  const auto run_path = [&](const std::string& factory_name,
+  const auto run_path = [&](apps::EngineKind kind,
                             bool batched) -> PathOutcome {
     PathOutcome out;
     sim::Scheduler scheduler;
@@ -834,7 +847,7 @@ BatchEquivalenceResult run_batch_equivalence(
     nic::NicConfig nic_config;
     nic_config.num_rx_queues = 1;
     nic::MultiQueueNic nic{scheduler, bus, nic_config};
-    auto engine = engines::make_engine(factory_name, nic, engine_config);
+    auto engine = make_difftest_engine(kind, scheduler, nic);
     sim::SimCore app_core{scheduler, 0};
     engine->open(0, app_core);
 
@@ -908,18 +921,9 @@ BatchEquivalenceResult run_batch_equivalence(
     return out;
   };
 
-  struct Entry {
-    const char* display;
-    const char* factory;
-  };
-  constexpr std::array<Entry, 5> kEngines{{{"PF_RING", "PF_RING"},
-                                           {"DNA", "DNA"},
-                                           {"NETMAP", "NETMAP"},
-                                           {"PSIOE", "PSIOE"},
-                                           {"WireCAP", "WireCAP-B"}}};
-  for (const Entry& entry : kEngines) {
-    const PathOutcome scalar = run_path(entry.factory, /*batched=*/false);
-    const PathOutcome batched = run_path(entry.factory, /*batched=*/true);
+  for (const DifftestEngine& entry : kDifftestEngines) {
+    const PathOutcome scalar = run_path(entry.kind, /*batched=*/false);
+    const PathOutcome batched = run_path(entry.kind, /*batched=*/true);
 
     BatchEquivalenceResult::PerEngine per;
     per.name = entry.display;

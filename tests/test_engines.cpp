@@ -10,7 +10,6 @@
 
 #include "apps/harness.hpp"
 #include "core/wirecap_engine.hpp"
-#include "engines/factory.hpp"
 #include "net/packet.hpp"
 #include "nic/device.hpp"
 #include "sim/bus.hpp"
@@ -228,6 +227,80 @@ TEST(CliParsing, OffloadPolicyRoundTripsAndRejectsUnknown) {
   }
 }
 
+TEST(CliParsing, TenantFlagsRejectSignOverflowAndTrailingText) {
+  const auto parse = [](std::string arg) {
+    std::string prog = "bench";
+    char* argv[] = {prog.data(), arg.data()};
+    return parse_engine_flags(2, argv);
+  };
+  EXPECT_EQ(parse("--tenants=3").tenants, 3u);
+  EXPECT_EQ(parse("--tenant-quota=4294967295").tenant_quota, 4294967295u);
+  for (const char* bad :
+       {"--tenants=-1", "--tenants=4294967296", "--tenants=2x",
+        "--tenants=", "--tenant-quota=-1", "--tenant-quota=99999999999",
+        "--tenant-quota=8 "}) {
+    EXPECT_THROW(static_cast<void>(parse(bad)), std::invalid_argument) << bad;
+  }
+}
+
+TEST(CliParsing, MoreTenantsThanQueuesIsRejected) {
+  ExperimentConfig config;
+  config.engine.kind = EngineKind::kWirecapAdvanced;
+  config.engine.tenants = 3;
+  config.num_queues = 2;
+  EXPECT_THROW(Experiment{config}, std::invalid_argument);
+  config.engine.tenants = 2;
+  EXPECT_NO_THROW(Experiment{config});
+}
+
+TEST(EngineFactory, EveryKindBuildsItsNamedEngine) {
+  // make_engine is the one mapping from an EngineKind to an engine and
+  // its config: each kind builds the engine to_string(kind) names, and
+  // the WireCAP kinds carry the params into core::WirecapConfig.
+  sim::Scheduler scheduler;
+  sim::IoBus bus{scheduler};
+  nic::NicConfig nic_config;
+  nic_config.num_rx_queues = 2;
+  nic::MultiQueueNic nic{scheduler, bus, nic_config};
+  const sim::CostModel costs;
+
+  for (const EngineKind kind :
+       {EngineKind::kPfRing, EngineKind::kDna, EngineKind::kNetmap,
+        EngineKind::kPsioe, EngineKind::kWirecapBasic,
+        EngineKind::kWirecapAdvanced, EngineKind::kDpdk,
+        EngineKind::kDpdkAppOffload}) {
+    EngineParams params;
+    params.kind = kind;
+    const auto engine = make_engine(params, scheduler, nic, costs);
+    EXPECT_EQ(engine->name(), to_string(kind));
+  }
+
+  EngineParams params;
+  params.kind = EngineKind::kWirecapAdvanced;
+  params.cells_per_chunk = 64;
+  params.chunk_count = 40;
+  params.offload_threshold = 0.3;
+  params.offload_policy = OffloadPolicy::kRoundRobin;
+  params.nic_numa_node = 1;
+  params.queue_numa_node = {1, 0};
+  const auto advanced = make_engine(params, scheduler, nic, costs);
+  const core::WirecapConfig& config =
+      dynamic_cast<const core::WirecapEngine&>(*advanced).config();
+  EXPECT_EQ(config.cells_per_chunk, 64u);
+  EXPECT_EQ(config.chunk_count, 40u);
+  ASSERT_TRUE(config.offload_threshold.has_value());
+  EXPECT_EQ(*config.offload_threshold, 0.3);
+  EXPECT_EQ(config.offload_policy, OffloadPolicy::kRoundRobin);
+  EXPECT_EQ(config.nic_numa_node, 1u);
+  EXPECT_EQ(config.queue_numa_node, (std::vector<std::uint32_t>{1, 0}));
+
+  params.kind = EngineKind::kWirecapBasic;
+  const auto basic = make_engine(params, scheduler, nic, costs);
+  EXPECT_FALSE(dynamic_cast<const core::WirecapEngine&>(*basic)
+                   .config()
+                   .offload_threshold.has_value());
+}
+
 TEST(EngineFactory, TenantRegistrationWorksAcrossEngineKinds) {
   // register_tenant is part of the CaptureEngine surface: the WireCAP
   // engine maps it onto buddy groups + quotas, the DPDK model onto its
@@ -240,7 +313,9 @@ TEST(EngineFactory, TenantRegistrationWorksAcrossEngineKinds) {
   nic::MultiQueueNic nic{scheduler, bus, nic_config};
   sim::SimCore core{scheduler, 0};
 
-  auto dpdk = engines::make_engine("DPDK+app-offload", nic);
+  EngineParams params;
+  params.kind = EngineKind::kDpdkAppOffload;
+  auto dpdk = make_engine(params, scheduler, nic, sim::CostModel{});
   dpdk->open(0, core);
   dpdk->open(1, core);
   engines::TenantSpec spec;
@@ -264,10 +339,10 @@ TEST(BatchApi, WirecapBatchesAreChunkBoundedAndHonorLimit) {
   nic::NicConfig nic_config;
   nic_config.num_rx_queues = 1;
   nic::MultiQueueNic nic{scheduler, bus, nic_config};
-  engines::EngineConfig config;
-  config.cells_per_chunk = 32;
-  config.chunk_count = 40;
-  auto engine = engines::make_engine("WireCAP-B", nic, config);
+  EngineParams params;
+  params.cells_per_chunk = 32;
+  params.chunk_count = 40;
+  auto engine = make_engine(params, scheduler, nic, sim::CostModel{});
   sim::SimCore core{scheduler, 0};
   engine->open(0, core);
 
@@ -315,7 +390,9 @@ TEST(BatchApi, BaselineAdapterDeliversSameStreamAsPerPacket) {
     nic::NicConfig nic_config;
     nic_config.num_rx_queues = 1;
     nic::MultiQueueNic nic{scheduler, bus, nic_config};
-    auto engine = engines::make_engine("DNA", nic, engines::EngineConfig{});
+    EngineParams params;
+    params.kind = EngineKind::kDna;
+    auto engine = make_engine(params, scheduler, nic, sim::CostModel{});
     sim::SimCore core{scheduler, 0};
     engine->open(0, core);
 
@@ -372,10 +449,10 @@ TEST(BatchApi, RefsSettleReleasesNotViews) {
   nic_config.num_rx_queues = 1;
   nic_config.rx_ring_size = 32;  // R must exceed ring_size / M
   nic::MultiQueueNic nic{scheduler, bus, nic_config};
-  engines::EngineConfig config;
-  config.cells_per_chunk = 8;
-  config.chunk_count = 12;  // tiny pool: a leaked chunk shows up fast
-  auto engine = engines::make_engine("WireCAP-B", nic, config);
+  EngineParams params;
+  params.cells_per_chunk = 8;
+  params.chunk_count = 12;  // tiny pool: a leaked chunk shows up fast
+  auto engine = make_engine(params, scheduler, nic, sim::CostModel{});
   auto& wirecap = dynamic_cast<core::WirecapEngine&>(*engine);
   sim::SimCore core{scheduler, 0};
   engine->open(0, core);
@@ -433,10 +510,10 @@ TEST(BatchApi, NoteReleasedKeepsRefsInStepWithOutOfBandReleases) {
   nic_config.num_rx_queues = 1;
   nic_config.rx_ring_size = 32;  // R must exceed ring_size / M
   nic::MultiQueueNic nic{scheduler, bus, nic_config};
-  engines::EngineConfig config;
-  config.cells_per_chunk = 8;
-  config.chunk_count = 12;
-  auto engine = engines::make_engine("WireCAP-B", nic, config);
+  EngineParams params;
+  params.cells_per_chunk = 8;
+  params.chunk_count = 12;
+  auto engine = make_engine(params, scheduler, nic, sim::CostModel{});
   auto& wirecap = dynamic_cast<core::WirecapEngine&>(*engine);
   sim::SimCore core{scheduler, 0};
   engine->open(0, core);

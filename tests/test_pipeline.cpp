@@ -17,7 +17,6 @@
 #include "bpf/codegen.hpp"
 #include "common/rng.hpp"
 #include "core/wirecap_engine.hpp"
-#include "engines/factory.hpp"
 #include "net/flow_table.hpp"
 #include "net/headers.hpp"
 #include "net/packet.hpp"
@@ -709,10 +708,12 @@ std::vector<std::string> run_fanout_soak_seed(std::uint64_t seed) {
   nic_config.rx_ring_size = 32;
   nic::MultiQueueNic nic{scheduler, bus, nic_config};
 
-  engines::EngineConfig engine_config;
-  engine_config.cells_per_chunk = kCells;
-  engine_config.chunk_count = kChunks;
-  auto engine = engines::make_engine("WireCAP-A", nic, engine_config);
+  apps::EngineParams engine_params;
+  engine_params.kind = apps::EngineKind::kWirecapAdvanced;
+  engine_params.cells_per_chunk = kCells;
+  engine_params.chunk_count = kChunks;
+  auto engine = apps::make_engine(engine_params, scheduler, nic,
+                                  sim::CostModel{});
   auto& wirecap = dynamic_cast<core::WirecapEngine&>(*engine);
 
   testing::AuditorConfig auditor_config;
