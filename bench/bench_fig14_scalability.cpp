@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -376,12 +377,18 @@ int main(int argc, char** argv) {
   std::uint32_t max_tenants = 2;
   std::string out_path = "BENCH_tenant.json";
   bool fairness_only = false;
+  try {
+    // --tenants=N goes through the engine flag parser, which rejects a
+    // sign, trailing junk or an overflow instead of wrapping.
+    const auto flags = wirecap::apps::parse_engine_flags(argc, argv);
+    if (flags.tenants) max_tenants = *flags.tenants;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg.rfind("--tenants=", 0) == 0) {
-      max_tenants = static_cast<std::uint32_t>(
-          std::stoul(std::string(arg.substr(10))));
-    } else if (arg.rfind("--out=", 0) == 0) {
+    if (arg.rfind("--out=", 0) == 0) {
       out_path = std::string(arg.substr(6));
     } else if (arg == "--fairness-only") {
       fairness_only = true;

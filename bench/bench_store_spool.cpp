@@ -38,9 +38,15 @@ struct SpoolRun {
   double seconds = 0.0;
 };
 
-std::filesystem::path bench_dir(const std::string& leaf) {
+/// Per-process parent of every spool this bench writes; main() removes
+/// it before exiting.
+std::filesystem::path bench_root() {
   return std::filesystem::temp_directory_path() /
-         ("wirecap_bench_spool_" + std::to_string(::getpid())) / leaf;
+         ("wirecap_bench_spool_" + std::to_string(::getpid()));
+}
+
+std::filesystem::path bench_dir(const std::string& leaf) {
+  return bench_root() / leaf;
 }
 
 SpoolRun run_spool(store::BackpressurePolicy policy, double slow_factor,
@@ -332,15 +338,20 @@ int run(const apps::TelemetryFlags& flags) {
 }  // namespace wirecap::bench
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--drain-compare" || arg.starts_with("--drain-compare=")) {
-      const auto eq = arg.find('=');
-      const std::string out{eq == std::string_view::npos
-                                ? std::string_view{"BENCH_spool.json"}
-                                : arg.substr(eq + 1)};
-      return wirecap::bench::run_drain_compare(out);
+  const int code = [&] {
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      if (arg == "--drain-compare" || arg.starts_with("--drain-compare=")) {
+        const auto eq = arg.find('=');
+        const std::string out{eq == std::string_view::npos
+                                  ? std::string_view{"BENCH_spool.json"}
+                                  : arg.substr(eq + 1)};
+        return wirecap::bench::run_drain_compare(out);
+      }
     }
-  }
-  return wirecap::bench::telemetry_main(argc, argv, wirecap::bench::run);
+    return wirecap::bench::telemetry_main(argc, argv, wirecap::bench::run);
+  }();
+  std::error_code ec;
+  std::filesystem::remove_all(wirecap::bench::bench_root(), ec);
+  return code;
 }

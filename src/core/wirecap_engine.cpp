@@ -577,13 +577,13 @@ void WirecapEngine::serve_views(QueueState& qs,
   const std::span<std::byte> bytes = pool.chunk_bytes(meta.chunk_id);
   const std::span<const driver::CellInfo> cells =
       pool.chunk_cells(meta.chunk_id);
-  const std::uint32_t cell_size = pool.cell_size();
+  const std::uint32_t stride = pool.cell_stride();
   for (std::uint32_t i = 0; i < take; ++i) {
     const std::uint32_t cell_index = meta.first_cell + current.cursor + i;
     const driver::CellInfo& info = cells[cell_index];
     engines::CaptureView& view = views[i];
     view.bytes = bytes.subspan(
-        static_cast<std::size_t>(cell_index) * cell_size, info.length);
+        static_cast<std::size_t>(cell_index) * stride, info.length);
     view.wire_len = info.wire_length;
     view.timestamp = Nanos{info.timestamp_ns};
     view.seq = info.seq;

@@ -4,6 +4,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "nic/descriptor.hpp"
+
 namespace wirecap::driver {
 
 std::uint64_t RingBufferPool::next_uid() {
@@ -21,11 +23,12 @@ RingBufferPool::RingBufferPool(std::uint32_t nic_id, std::uint32_t ring_id,
       cells_per_chunk_(cells_per_chunk),
       chunk_count_(chunk_count),
       cell_size_(cell_size),
+      cell_stride_(nic::materialized_bytes(cell_size)),
       numa_node_(numa_node) {
   if (cells_per_chunk == 0 || chunk_count == 0 || cell_size == 0) {
     throw std::invalid_argument("RingBufferPool: M, R, cell size must be > 0");
   }
-  memory_.resize(memory_bytes());
+  memory_.resize(capacity_packets() * cell_stride_);
   cell_info_.resize(capacity_packets());
   states_.assign(chunk_count, ChunkState::kFree);
   extra_shares_.assign(chunk_count, 0);
@@ -166,8 +169,8 @@ std::span<std::byte> RingBufferPool::cell(std::uint32_t chunk_id,
   }
   const std::size_t offset =
       (static_cast<std::size_t>(chunk_id) * cells_per_chunk_ + cell_index) *
-      cell_size_;
-  return {memory_.data() + offset, cell_size_};
+      cell_stride_;
+  return {memory_.data() + offset, cell_stride_};
 }
 
 std::span<const std::byte> RingBufferPool::cell(

@@ -129,12 +129,13 @@ std::uint32_t WirecapQueueDriver::capture(Nanos now, std::size_t max_chunks,
 
   const std::uint32_t source_chunk = segment.chunk_id;
   const std::uint32_t source_first = consume_cells(segment, filled);
+  // Only the captured bytes move; the rest of a cell is never read.
   for (std::uint32_t i = 0; i < filled; ++i) {
-    const auto src = pool_.cell(source_chunk, source_first + i);
-    const auto dst = pool_.cell(rescue->chunk_id, i);
-    std::copy(src.begin(), src.end(), dst.begin());
-    pool_.cell_info(rescue->chunk_id, i) =
-        pool_.cell_info(source_chunk, source_first + i);
+    const CellInfo& info = pool_.cell_info(source_chunk, source_first + i);
+    const auto src =
+        pool_.cell(source_chunk, source_first + i).first(info.length);
+    std::copy(src.begin(), src.end(), pool_.cell(rescue->chunk_id, i).begin());
+    pool_.cell_info(rescue->chunk_id, i) = info;
   }
   out.push_back(rescue.value());
   ++stats_.partial_rescues;

@@ -22,9 +22,9 @@ DpdkEngine::DpdkEngine(sim::Scheduler& scheduler, nic::MultiQueueNic& nic,
 
 std::span<std::byte> DpdkEngine::mbuf_bytes(QueueState& qs,
                                             std::uint32_t mbuf) {
-  return {qs.mempool.data() +
-              static_cast<std::size_t>(mbuf) * config_.mbuf_size,
-          config_.mbuf_size};
+  const std::uint32_t stride = nic::materialized_bytes(config_.mbuf_size);
+  return {qs.mempool.data() + static_cast<std::size_t>(mbuf) * stride,
+          stride};
 }
 
 void DpdkEngine::open(std::uint32_t queue, sim::SimCore& app_core) {
@@ -33,7 +33,7 @@ void DpdkEngine::open(std::uint32_t queue, sim::SimCore& app_core) {
   qs.open = true;
   qs.app_core = &app_core;
   qs.mempool.resize(static_cast<std::size_t>(config_.mempool_size) *
-                    config_.mbuf_size);
+                    nic::materialized_bytes(config_.mbuf_size));
   qs.free_mbufs.resize(config_.mempool_size);
   std::iota(qs.free_mbufs.rbegin(), qs.free_mbufs.rend(), 0u);
 

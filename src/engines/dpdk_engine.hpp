@@ -118,7 +118,8 @@ class DpdkEngine final : public CaptureEngine {
     bool open = false;
     sim::SimCore* app_core = nullptr;
     std::unique_ptr<sim::SimCore> io_core;  // the queue's RX lcore
-    std::vector<std::byte> mempool;       // mempool_size * mbuf_size bytes
+    // mempool_size mbufs of nic::materialized_bytes(mbuf_size) bytes
+    std::vector<std::byte> mempool;
     std::vector<std::uint32_t> free_mbufs;
     std::deque<PacketHandle> local;       // software ring to the worker
     std::deque<PacketHandle> inbound;     // redirected here by peers

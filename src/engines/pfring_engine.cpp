@@ -16,7 +16,8 @@ PfRingEngine::PfRingEngine(sim::Scheduler& scheduler, nic::MultiQueueNic& nic,
 }
 
 std::span<std::byte> PfRingEngine::cell(QueueState& qs, std::uint64_t index) {
-  return {qs.cells.data() + index * config_.cell_size, config_.cell_size};
+  const std::uint32_t stride = nic::materialized_bytes(config_.cell_size);
+  return {qs.cells.data() + index * stride, stride};
 }
 
 void PfRingEngine::open(std::uint32_t queue, sim::SimCore& app_core) {
@@ -25,7 +26,8 @@ void PfRingEngine::open(std::uint32_t queue, sim::SimCore& app_core) {
   qs.open = true;
   qs.app_core = &app_core;
   const std::uint32_t ring_size = nic_.config().rx_ring_size;
-  qs.cells.resize(static_cast<std::size_t>(ring_size) * config_.cell_size);
+  qs.cells.resize(static_cast<std::size_t>(ring_size) *
+                  nic::materialized_bytes(config_.cell_size));
   qs.slots.resize(config_.pf_ring_slots);
   for (auto& slot : qs.slots) slot.data.resize(config_.slot_bytes);
 

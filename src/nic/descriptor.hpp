@@ -8,6 +8,7 @@
 // the receive descriptors in the ready state aren't available."
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -15,6 +16,7 @@
 
 #include "common/units.hpp"
 #include "net/flow.hpp"
+#include "net/packet.hpp"
 
 namespace wirecap::nic {
 
@@ -30,6 +32,18 @@ struct DmaBuffer {
 
   [[nodiscard]] bool valid() const { return !data.empty(); }
 };
+
+/// Bytes of host memory that back a simulated DMA buffer modelled as
+/// `buffer_size` bytes.  The DMA copies min(snap, buffer) bytes and a
+/// WirePacket materializes at most kSnapBytes, so nothing is ever
+/// written past this prefix; allocating (and zeroing) the rest of a
+/// 2 KB buffer only costs memory traffic.  Capacity and cost accounting
+/// keep using `buffer_size`.
+[[nodiscard]] constexpr std::uint32_t materialized_bytes(
+    std::uint32_t buffer_size) {
+  return std::min(buffer_size,
+                  static_cast<std::uint32_t>(net::WirePacket::kSnapBytes));
+}
 
 enum class RxDescState : std::uint8_t {
   kEmpty,     // no buffer attached; cannot receive

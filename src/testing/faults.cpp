@@ -183,6 +183,7 @@ FaultHarness::FaultHarness(FaultHarnessConfig config)
       spool_dir_ = std::filesystem::temp_directory_path() /
                    ("wirecap-fault-spool-" + std::to_string(::getpid()) +
                     "-seed" + std::to_string(config_.plan.seed));
+      remove_spool_dir_ = true;
     }
     std::filesystem::remove_all(spool_dir_);
     store::SpoolConfig spool_config;
@@ -207,7 +208,12 @@ FaultHarness::FaultHarness(FaultHarnessConfig config)
   }
 }
 
-FaultHarness::~FaultHarness() = default;
+FaultHarness::~FaultHarness() {
+  if (!remove_spool_dir_) return;
+  spool_.reset();  // close its segment files first
+  std::error_code ec;
+  std::filesystem::remove_all(spool_dir_, ec);
+}
 
 void FaultHarness::open_queue(std::uint32_t queue) {
   engine_->open(queue, *app_cores_[queue]);
@@ -608,7 +614,11 @@ FaultRunResult FaultHarness::run() {
     result.queue_delivered[q] = delivered;
     result.tenant_delivered[tenant_of(q)] += delivered;
   }
-  if (spool_) result.spool = verify_spool();
+  if (spool_) {
+    result.spool = verify_spool();
+    // A dirty spool stays behind for inspection.
+    if (!result.spool->clean()) remove_spool_dir_ = false;
+  }
   return result;
 }
 
@@ -695,12 +705,6 @@ SoakResult run_fault_soak(std::uint64_t first_seed, std::uint32_t count,
       soak.total_spool_lost += spool.packets_lost;
       soak.total_spool_failures +=
           spool.order_violations + spool.conservation_failures;
-      // Harness-picked temp spools are disposable once verified clean;
-      // a dirty one is left behind for inspection.
-      if (base.spool_dir.empty() && spool.clean()) {
-        std::error_code ec;
-        std::filesystem::remove_all(spool.dir, ec);
-      }
     }
     if (!result.clean()) {
       std::string message = "(no message recorded)";

@@ -141,7 +141,8 @@ struct FaultHarnessConfig {
   /// exactly once, in global timestamp order, minus counted losses).
   bool spool = false;
   store::BackpressurePolicy spool_policy = store::BackpressurePolicy::kBlock;
-  /// Spool target; empty picks a per-seed temp directory.
+  /// Spool target; empty picks a per-seed temp directory, which the
+  /// harness removes on destruction unless its run verified dirty.
   std::filesystem::path spool_dir;
   /// Chunk-journey latency tracking + flight recorder: outliers above
   /// the threshold are retained for post-run inspection (tests read
@@ -284,6 +285,8 @@ class FaultHarness {
   // --- spool mode ---
   std::unique_ptr<store::Spool> spool_;
   std::filesystem::path spool_dir_;
+  /// The harness picked spool_dir_ itself and no run found it dirty.
+  bool remove_spool_dir_ = false;
   std::vector<std::deque<HeldChunk>> held_chunks_;  // per consuming queue
   /// Seqs consumed from the engine and owed to the store; shrinks when
   /// a loss is counted (drop policy, ring-close eviction).

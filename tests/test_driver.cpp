@@ -4,6 +4,7 @@
 // rescue, replenish, and transmit paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "common/rng.hpp"
@@ -26,19 +27,37 @@ net::FlowKey test_flow() {
 TEST(RingBufferPool, Geometry) {
   RingBufferPool pool{1, 0, 64, 10, 2048};
   EXPECT_EQ(pool.capacity_packets(), 640u);
+  // Memory accounting keeps the modelled 2 KB cells ...
+  EXPECT_EQ(pool.cell_size(), 2048u);
   EXPECT_EQ(pool.memory_bytes(), 640u * 2048u);
   EXPECT_EQ(pool.free_chunks(), 10u);
-  EXPECT_EQ(pool.cell(0, 0).size(), 2048u);
+  // ... while a cell's span is only what the wire can write into it.
+  EXPECT_EQ(pool.cell_stride(), net::WirePacket::kSnapBytes);
+  EXPECT_EQ(pool.cell(0, 0).size(), net::WirePacket::kSnapBytes);
+  EXPECT_EQ(pool.chunk_bytes(0).size(), 64u * net::WirePacket::kSnapBytes);
   EXPECT_THROW(static_cast<void>(pool.cell(10, 0)), std::out_of_range);
   EXPECT_THROW(static_cast<void>(pool.cell(0, 64)), std::out_of_range);
   EXPECT_THROW((RingBufferPool{0, 0, 0, 1}), std::invalid_argument);
+  // A cell smaller than the snap length is backed in full.
+  RingBufferPool small{1, 0, 4, 2, 32};
+  EXPECT_EQ(small.cell(0, 0).size(), 32u);
+  EXPECT_EQ(small.memory_bytes(), 8u * 32u);
 }
 
 TEST(RingBufferPool, CellsAreContiguousPerChunk) {
-  RingBufferPool pool{1, 0, 4, 2, 256};
-  // "A chunk of packet buffers ... occupy physically contiguous memory."
-  for (std::uint32_t cell = 0; cell + 1 < 4; ++cell) {
-    EXPECT_EQ(pool.cell(0, cell).data() + 256, pool.cell(0, cell + 1).data());
+  // "A chunk of packet buffers ... occupy physically contiguous memory":
+  // adjacent cells, and adjacent chunks, sit one cell span apart.
+  for (const std::uint32_t cell_size : {256u, 48u}) {
+    RingBufferPool pool{1, 0, 4, 2, cell_size};
+    const std::size_t span = std::min<std::size_t>(
+        cell_size, net::WirePacket::kSnapBytes);
+    EXPECT_EQ(pool.memory_bytes(), 8u * cell_size);
+    for (std::uint32_t cell = 0; cell < 4; ++cell) {
+      EXPECT_EQ(pool.cell(0, cell).size(), span);
+      EXPECT_EQ(pool.cell(0, cell).data(),
+                pool.chunk_bytes(0).data() + cell * span);
+    }
+    EXPECT_EQ(pool.cell(0, 3).data() + span, pool.cell(1, 0).data());
   }
 }
 
@@ -290,6 +309,46 @@ TEST_F(DriverFixture, PartialChunkRescuedAfterTimeout) {
   ASSERT_EQ(rest.size(), 1u);
   EXPECT_EQ(rest[0].first_cell, 2u);
   EXPECT_EQ(rest[0].pkt_count, 2u);
+}
+
+TEST_F(DriverFixture, RescueCopiesOnlyCapturedBytes) {
+  WirecapQueueDriver driver{*nic_, 0, driver_config()};
+  driver.open();
+  // Mark every free chunk's cells so a copy past the frame shows.
+  constexpr std::byte kSentinel{0xA5};
+  RingBufferPool& pool = driver.pool();
+  for (std::uint32_t chunk = 0; chunk < pool.chunk_count(); ++chunk) {
+    if (pool.state(chunk) != ChunkState::kFree) continue;
+    for (std::uint32_t cell = 0; cell < pool.cells_per_chunk(); ++cell) {
+      std::ranges::fill(pool.cell(chunk, cell), kSentinel);
+    }
+  }
+
+  // Three frames shorter than the snap length, then the rescue timeout.
+  std::vector<net::WirePacket> frames;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    frames.push_back(net::WirePacket::make(Nanos{1'000 * i}, test_flow(),
+                                           60 - 4 * i, i));
+    ASSERT_LT(frames.back().snap_len(), net::WirePacket::kSnapBytes);
+    nic_->receive(frames.back());
+  }
+  scheduler_.run();
+  scheduler_.run_until(scheduler_.now() + Nanos::from_millis(2));
+
+  std::vector<ChunkMeta> out;
+  ASSERT_EQ(driver.capture(scheduler_.now(), 16, out), 3u);
+  ASSERT_EQ(out.size(), 1u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    const CellInfo& info = pool.cell_info(out[0].chunk_id, i);
+    const auto cell = pool.cell(out[0].chunk_id, i);
+    ASSERT_EQ(info.length, frames[i].snap_len());
+    EXPECT_TRUE(std::ranges::equal(cell.first(info.length), frames[i].bytes()))
+        << "rescued frame " << i << " differs from the DMA'd bytes";
+    EXPECT_TRUE(std::ranges::all_of(
+        cell.subspan(info.length),
+        [](std::byte b) { return b == kSentinel; }))
+        << "rescue wrote past frame " << i << "'s " << info.length << " bytes";
+  }
 }
 
 TEST_F(DriverFixture, PoolExhaustionCausesNicDrops) {

@@ -5,6 +5,7 @@
 // soak asserting chunk-count conservation across 100+ seeds.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <vector>
 
 #include "core/wirecap_engine.hpp"
@@ -453,6 +454,33 @@ TEST(FaultHarness, FlightRecorderCapturesSlowDrainOutliers) {
   ASSERT_TRUE(registry.contains("faults.q1.latency.queue_wait.p99"));
   EXPECT_GT(registry.entries().at("faults.q0.latency.e2e.p50").gauge_fn(),
             0.0);
+}
+
+// --- spool directories: the harness removes only what it picked ---
+
+TEST(FaultHarness, RemovesItsOwnCleanSpoolDirectory) {
+  FaultHarnessConfig config;
+  config.plan.seed = 5;
+  config.spool = true;
+  std::filesystem::path dir;
+  {
+    FaultHarness harness{config};
+    const FaultRunResult result = harness.run();
+    ASSERT_TRUE(result.spool.has_value());
+    ASSERT_TRUE(result.clean());
+    dir = result.spool->dir;
+    EXPECT_TRUE(std::filesystem::exists(dir));  // readable until destroyed
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir)) << dir;
+
+  // A caller-named directory is the caller's to remove.
+  config.spool_dir = dir.string() + "-named";
+  {
+    FaultHarness harness{config};
+    ASSERT_TRUE(harness.run().clean());
+  }
+  EXPECT_TRUE(std::filesystem::exists(config.spool_dir));
+  std::filesystem::remove_all(config.spool_dir);
 }
 
 // --- the property: chunk-count conservation across randomized fault
