@@ -9,7 +9,10 @@
 # get its stdout, the JSON it was asked to write, its exit code and its
 # stderr (kept for reading, never compared).  Each tree runs at most two
 # benches at a time; the two trees run side by side.  bench_micro and
-# bench_pipeline measure host wall-clock time and are skipped.
+# bench_pipeline measure host wall-clock time and are skipped; so are
+# the lines of a JSON output that carry a "host_*" field (host
+# wall-clock measurements beside virtual ones), which are deleted from
+# both trees' copies before the comparison.
 #
 # Exits 0 when every compared file is identical and every bench exited
 # 0; 1 on any difference or failing bench; 2 on a usage error.
@@ -78,6 +81,7 @@ run_tree() {
     running=$((running + 1))
   done < <(jobs_list)
   wait
+  sed -i '/"host_/d' "$dir"/*.json
 }
 
 start=$SECONDS

@@ -57,8 +57,8 @@ double run_one(const EngineSpec& spec, std::uint32_t queues_per_nic,
   // page-table pressure proportional to total pool memory.
   double rx_transactions = 1.0;
   if (spec.wirecap) {
-    const double pool_mib = 2.0 * queues_per_nic * spec.m * spec.r * 2048.0 /
-                            (1024.0 * 1024.0);
+    const double pool_mib = 2.0 * queues_per_nic * spec.m * spec.r *
+                            nic::kBufferBytes / (1024.0 * 1024.0);
     rx_transactions += costs.wirecap_extra_transactions_per_packet +
                        costs.memory_pressure_transactions_per_mib * pool_mib;
   }

@@ -244,7 +244,12 @@ int main(int argc, char** argv) {
                  mode_filter.c_str());
     return 2;
   }
-  const wirecap::apps::TelemetryFlags flags =
-      wirecap::apps::parse_telemetry_flags(argc, argv);
+  wirecap::apps::TelemetryFlags flags;
+  try {
+    flags = wirecap::apps::parse_telemetry_flags(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_latency: %s\n", e.what());
+    return 2;
+  }
   return wirecap::bench::run(flags, out_path, mode_filter);
 }

@@ -8,14 +8,19 @@
 // the deterministic (virtual-time) drain comparison the CI gate
 // consumes: vectored multi-outstanding drain vs packet-at-a-time
 // depth-1 drain over identical chunks, plus the bloom filter-skip
-// segment-touch ratio.
+// segment-touch ratio.  The virtual comparison restates the cost
+// model's disk_packet_write_cost, so the same run also times
+// SegmentWriter::write against write_chunk over the drain's packets on
+// the host clock and reports that ratio (host_* fields, on stderr and
+// in the JSON) beside it.
 //
 // Accepts --metrics-out/--trace-out; the CI job uploads the metrics
 // JSON as a build artifact.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,17 +102,51 @@ SpoolRun run_spool(store::BackpressurePolicy policy, double slow_factor,
 
 // --- deterministic drain comparison (--drain-compare) ---
 
-/// Virtual nanoseconds for one shard to drain `chunk_count` identical
-/// chunks, offered up front at t=0.  Deterministic: the simulation
-/// clock is the only clock involved.
+/// The drain's traffic: `chunk_count` chunks of `cells_per_chunk`
+/// 256-byte frames of one UDP flow, seq == packet index.
+std::vector<net::WirePacket> drain_packets(std::uint64_t chunk_count,
+                                           std::uint32_t cells_per_chunk) {
+  std::vector<net::WirePacket> packets;
+  const std::uint64_t total = chunk_count * cells_per_chunk;
+  packets.reserve(total);
+  for (std::uint64_t seq = 0; seq < total; ++seq) {
+    packets.push_back(net::WirePacket::make(
+        Nanos{static_cast<std::int64_t>(seq)},
+        net::FlowKey{net::Ipv4Addr{10, 0, 0, 1}, net::Ipv4Addr{10, 0, 0, 2},
+                     4000, 53, net::IpProto::kUdp},
+        256, seq));
+  }
+  return packets;
+}
+
+/// Views of `packets`, cut into chunks of `cells_per_chunk`.
+std::vector<engines::ChunkCaptureView> drain_chunks(
+    std::vector<net::WirePacket>& packets, std::uint32_t cells_per_chunk) {
+  std::vector<engines::ChunkCaptureView> chunks;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    if (i % cells_per_chunk == 0) chunks.emplace_back();
+    net::WirePacket& pkt = packets[i];
+    engines::CaptureView view;
+    view.bytes = pkt.mutable_bytes();
+    view.wire_len = pkt.wire_len();
+    view.timestamp = pkt.timestamp();
+    view.seq = pkt.seq();
+    chunks.back().packets.push_back(view);
+  }
+  return chunks;
+}
+
+/// Virtual nanoseconds for one shard to drain `chunks`, offered up
+/// front at t=0.  Deterministic: the simulation clock is the only clock
+/// involved.
 struct DrainOutcome {
   double virtual_ns = 0.0;
   std::uint64_t bytes = 0;
 };
 
 DrainOutcome run_drain(const std::filesystem::path& dir, bool vectored,
-                       unsigned depth, std::uint64_t chunk_count,
-                       std::uint32_t cells_per_chunk) {
+                       unsigned depth,
+                       const std::vector<engines::ChunkCaptureView>& chunks) {
   std::filesystem::create_directories(dir);
   sim::Scheduler scheduler;
   sim::CostModel costs;
@@ -115,50 +154,77 @@ DrainOutcome run_drain(const std::filesystem::path& dir, bool vectored,
   config.dir = dir;
   config.vectored_drain = vectored;
   config.disk_queue_depth = depth;
-  config.queue_capacity_chunks = chunk_count * 2;
+  config.queue_capacity_chunks = chunks.size() * 2;
   store::Spool spool{scheduler, costs, config};
 
-  std::vector<std::unique_ptr<std::vector<std::byte>>> storage;
   Nanos last_release = Nanos::zero();
   std::uint64_t releases = 0;
-  for (std::uint64_t c = 0; c < chunk_count; ++c) {
-    engines::ChunkCaptureView chunk;
-    chunk.source_ring = 0;
-    for (std::uint32_t i = 0; i < cells_per_chunk; ++i) {
-      const std::uint64_t seq = c * cells_per_chunk + i;
-      const auto pkt = net::WirePacket::make(
-          Nanos{static_cast<std::int64_t>(seq)},
-          net::FlowKey{net::Ipv4Addr{10, 0, 0, 1}, net::Ipv4Addr{10, 0, 0, 2},
-                       4000, 53, net::IpProto::kUdp},
-          256, seq);
-      storage.push_back(std::make_unique<std::vector<std::byte>>(
-          pkt.bytes().begin(), pkt.bytes().end()));
-      engines::CaptureView view;
-      view.bytes = std::span<std::byte>(*storage.back());
-      view.wire_len = pkt.wire_len();
-      view.timestamp = pkt.timestamp();
-      view.seq = seq;
-      chunk.packets.push_back(view);
-    }
-    spool.shard(0).offer(std::move(chunk),
-                         [&](const engines::ChunkCaptureView&) {
-                           ++releases;
-                           last_release = scheduler.now();
-                         });
+  for (const engines::ChunkCaptureView& chunk : chunks) {
+    spool.shard(0).offer(chunk, [&](const engines::ChunkCaptureView&) {
+      ++releases;
+      last_release = scheduler.now();
+    });
   }
   scheduler.run_until(Nanos::from_seconds(60.0));
   DrainOutcome outcome;
   outcome.virtual_ns = static_cast<double>(last_release.count());
   outcome.bytes = spool.shard(0).stats().bytes_written;
-  if (releases != chunk_count || !spool.drained()) {
+  if (releases != chunks.size() || !spool.drained()) {
     std::fprintf(stderr, "drain-compare: shard never drained (%llu/%llu)\n",
                  static_cast<unsigned long long>(releases),
-                 static_cast<unsigned long long>(chunk_count));
+                 static_cast<unsigned long long>(chunks.size()));
     outcome.virtual_ns = -1.0;
   }
   spool.close();
   std::filesystem::remove_all(dir);
   return outcome;
+}
+
+/// Host nanoseconds per packet for SegmentWriter to write the drain's
+/// packets with one write() per packet and with one write_chunk() per
+/// chunk, each the median of five runs.  The writer options are the
+/// defaults the drain's spool uses.
+struct HostDrain {
+  double packet_ns = 0.0;
+  double chunk_ns = 0.0;
+};
+
+HostDrain time_host_drain(
+    const std::filesystem::path& dir,
+    const std::vector<net::WirePacket>& packets,
+    const std::vector<engines::ChunkCaptureView>& chunks) {
+  constexpr int kRepetitions = 5;
+  using Clock = std::chrono::steady_clock;
+  std::filesystem::create_directories(dir);
+  std::uint32_t shard = 0;
+  const auto median_ns_per_pkt = [&](const auto& write_all) {
+    std::vector<double> runs;
+    for (int r = 0; r < kRepetitions; ++r) {
+      store::SegmentWriter writer(dir, shard++, {});
+      const auto t0 = Clock::now();
+      write_all(writer);
+      writer.finish();
+      const std::chrono::duration<double, std::nano> elapsed =
+          Clock::now() - t0;
+      runs.push_back(elapsed.count() / static_cast<double>(packets.size()));
+    }
+    std::nth_element(runs.begin(), runs.begin() + kRepetitions / 2,
+                     runs.end());
+    return runs[kRepetitions / 2];
+  };
+  HostDrain host;
+  host.packet_ns = median_ns_per_pkt([&](store::SegmentWriter& writer) {
+    for (const net::WirePacket& pkt : packets) {
+      writer.write(pkt.timestamp(), pkt.bytes(), pkt.wire_len(), pkt.seq());
+    }
+  });
+  host.chunk_ns = median_ns_per_pkt([&](store::SegmentWriter& writer) {
+    for (const engines::ChunkCaptureView& chunk : chunks) {
+      writer.write_chunk(chunk.packets);
+    }
+  });
+  std::filesystem::remove_all(dir);
+  return host;
 }
 
 /// Segment-touch ratio of a 5-tuple-pinned BPF query over a spool of
@@ -226,12 +292,13 @@ int run_drain_compare(const std::string& out_path) {
   constexpr double kTarget = 1.5;
 
   title("spool drain: vectored multi-outstanding vs packet-at-a-time");
-  const DrainOutcome vectored =
-      run_drain(bench_dir("drain-vectored"), /*vectored=*/true, /*depth=*/0,
-                kChunks, kCells);
-  const DrainOutcome scalar =
-      run_drain(bench_dir("drain-scalar"), /*vectored=*/false, /*depth=*/1,
-                kChunks, kCells);
+  std::vector<net::WirePacket> packets = drain_packets(kChunks, kCells);
+  const std::vector<engines::ChunkCaptureView> chunks =
+      drain_chunks(packets, kCells);
+  const DrainOutcome vectored = run_drain(
+      bench_dir("drain-vectored"), /*vectored=*/true, /*depth=*/0, chunks);
+  const DrainOutcome scalar = run_drain(
+      bench_dir("drain-scalar"), /*vectored=*/false, /*depth=*/1, chunks);
   if (vectored.virtual_ns <= 0.0 || scalar.virtual_ns <= 0.0) return 2;
 
   const double vectored_mbps = static_cast<double>(vectored.bytes) /
@@ -245,6 +312,16 @@ int run_drain_compare(const std::string& out_path) {
   std::printf("  vectored, cost-model depth: %7.1f MB/s (%.0f us)\n",
               vectored_mbps, vectored.virtual_ns / 1e3);
   std::printf("  drain speedup: %.2fx (target %.1fx)\n", speedup, kTarget);
+
+  // Host clock: varies run to run, so it goes to stderr and the host_*
+  // JSON fields, never into the deterministic stdout.
+  const HostDrain host =
+      time_host_drain(bench_dir("drain-host"), packets, chunks);
+  const double host_speedup = host.packet_ns / host.chunk_ns;
+  std::fprintf(stderr,
+               "  host clock: write() %.1f ns/pkt, write_chunk() %.1f "
+               "ns/pkt, %.2fx\n",
+               host.packet_ns, host.chunk_ns, host_speedup);
 
   title("bloom filter-skip: 5-tuple-pinned query over 16 over-cap segments");
   const SkipOutcome skip = run_filter_skip(bench_dir("filter-skip"));
@@ -272,6 +349,9 @@ int run_drain_compare(const std::string& out_path) {
         << "  \"target_speedup\": " << kTarget << ",\n"
         << "  \"meets_target\": " << (meets_target ? "true" : "false")
         << ",\n"
+        << "  \"host_packet_write_ns_per_pkt\": " << host.packet_ns << ",\n"
+        << "  \"host_chunk_write_ns_per_pkt\": " << host.chunk_ns << ",\n"
+        << "  \"host_drain_speedup\": " << host_speedup << ",\n"
         << "  \"filter_skip_segments_total\": " << skip.segments_total
         << ",\n"
         << "  \"filter_skip_segments_touched\": " << skip.segments_touched

@@ -107,6 +107,7 @@ inline std::string percent(double fraction) {
 /// copy-pasted into every flag-aware bench.
 inline int telemetry_main(int argc, char** argv,
                           int (*run)(const apps::TelemetryFlags&)) {
+  apps::TelemetryFlags flags;
   try {
     pipeline_flags() = apps::parse_pipeline_flags(argc, argv);
     if (pipeline_flags().any()) {
@@ -114,11 +115,12 @@ inline int telemetry_main(int argc, char** argv,
       pipeline_flags().apply(scratch);
     }
     engine_flags() = apps::parse_engine_flags(argc, argv);
+    flags = apps::parse_telemetry_flags(argc, argv);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-  return run(apps::parse_telemetry_flags(argc, argv));
+  return run(flags);
 }
 
 }  // namespace wirecap::bench

@@ -5,8 +5,8 @@
 #include "telemetry/export.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string_view>
 
@@ -49,12 +49,8 @@ std::unique_ptr<engines::CaptureEngine> make_engine(
     const EngineParams& params, sim::Scheduler& scheduler,
     nic::MultiQueueNic& nic, const sim::CostModel& costs) {
   switch (params.kind) {
-    case EngineKind::kPfRing: {
-      engines::PfRingConfig config;
-      config.kernel_cost_per_packet = costs.pfring_kernel_cost;
-      config.napi_wakeup_delay = costs.napi_wakeup_delay;
-      return std::make_unique<engines::PfRingEngine>(scheduler, nic, config);
-    }
+    case EngineKind::kPfRing:
+      return std::make_unique<engines::PfRingEngine>(scheduler, nic, costs);
     case EngineKind::kDna:
       return std::make_unique<engines::Type2Engine>(nic,
                                                     engines::dna_config());
@@ -62,8 +58,7 @@ std::unique_ptr<engines::CaptureEngine> make_engine(
       return std::make_unique<engines::Type2Engine>(nic,
                                                     engines::netmap_config());
     case EngineKind::kPsioe:
-      return std::make_unique<engines::PsioeEngine>(nic,
-                                                    engines::PsioeConfig{});
+      return std::make_unique<engines::PsioeEngine>(nic);
     case EngineKind::kWirecapBasic:
     case EngineKind::kWirecapAdvanced: {
       core::WirecapConfig config;
@@ -92,8 +87,11 @@ std::unique_ptr<engines::CaptureEngine> make_engine(
 }
 
 Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {
-  if (config_.engine.kind == EngineKind::kWirecapAdvanced &&
-      config_.engine.tenants > config_.num_queues) {
+  // Engines whose queues form groups, registered as tenants below.
+  const bool grouped =
+      config_.engine.kind == EngineKind::kWirecapAdvanced ||
+      config_.engine.kind == EngineKind::kDpdkAppOffload;
+  if (grouped && config_.engine.tenants > config_.num_queues) {
     // Every tenant owns at least one queue.
     throw std::invalid_argument(
         "Experiment: " + std::to_string(config_.engine.tenants) +
@@ -115,8 +113,8 @@ Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {
     // constrained.
     const double pool_mib =
         static_cast<double>(config_.num_queues) *
-        config_.engine.cells_per_chunk * config_.engine.chunk_count * 2048.0 /
-        (1024.0 * 1024.0);
+        config_.engine.cells_per_chunk * config_.engine.chunk_count *
+        nic::kBufferBytes / (1024.0 * 1024.0);
     nic_config.rx_transactions_per_packet =
         1.0 + config_.costs.wirecap_extra_transactions_per_packet +
         config_.costs.memory_pressure_transactions_per_mib * pool_mib;
@@ -192,12 +190,13 @@ Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {
     for (const auto& sink : sinks_) sink->start();
   }
 
-  if (config_.engine.kind == EngineKind::kWirecapAdvanced) {
+  if (grouped) {
     // The paper's advanced-mode experiments: "the n queues form a single
     // buddy group" (one multi_pkt_handler application) — generalized to
     // `tenants` co-resident applications, each owning a contiguous slice
-    // of the queues as its own buddy group with its own quota.
-    auto* wirecap = dynamic_cast<core::WirecapEngine*>(engine_.get());
+    // of the queues as its own buddy group with its own quota.  The DPDK
+    // application's app-layer offloading groups its threads the same
+    // way (it ignores the quota).
     const std::uint32_t tenants = std::max(1u, config_.engine.tenants);
     for (std::uint32_t t = 0; t < tenants; ++t) {
       engines::TenantSpec spec;
@@ -207,14 +206,8 @@ Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {
       for (std::uint32_t q = 0; q < config_.num_queues; ++q) {
         if (q * tenants / config_.num_queues == t) spec.queues.push_back(q);
       }
-      if (!spec.queues.empty()) wirecap->register_tenant(spec);
+      if (!spec.queues.empty()) engine_->register_tenant(spec);
     }
-  }
-  if (config_.engine.kind == EngineKind::kDpdkAppOffload) {
-    auto* dpdk = dynamic_cast<engines::DpdkEngine*>(engine_.get());
-    std::vector<std::uint32_t> group;
-    for (std::uint32_t q = 0; q < config_.num_queues; ++q) group.push_back(q);
-    dpdk->set_peer_group(group);
   }
 
   bind_telemetry();
@@ -228,8 +221,6 @@ void Experiment::bind_telemetry() {
   if (config_.telemetry.latency) {
     telemetry_.latency.set_outlier_threshold(
         config_.telemetry.latency_outlier_threshold);
-    telemetry_.latency.set_recorder_capacity(
-        config_.telemetry.flight_recorder_capacity);
     telemetry_.latency.set_enabled(true);
   }
 
@@ -342,6 +333,23 @@ std::uint32_t parse_u32_flag(std::string_view flag, std::string_view text) {
   return value;
 }
 
+/// Parses the whole of `text` as a finite, non-negative decimal double.
+/// Throws std::invalid_argument naming `flag` on an empty value,
+/// trailing characters, a negative value, or inf/nan (std::atof would read
+/// "abc" as 0 and "5us" as 5).
+double parse_nonnegative_flag(std::string_view flag, std::string_view text) {
+  double value = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value) ||
+      value < 0.0) {
+    throw std::invalid_argument(std::string(flag) +
+                                " needs a finite non-negative number, got \"" +
+                                std::string(text) + "\"");
+  }
+  return value;
+}
+
 }  // namespace
 
 EngineFlags parse_engine_flags(int argc, char** argv) {
@@ -353,7 +361,7 @@ EngineFlags parse_engine_flags(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (arg.starts_with(kPolicy)) {
       flags.offload_policy =
-          parse_offload_policy(arg.substr(kPolicy.size()));
+          core::parse_offload_policy(arg.substr(kPolicy.size()));
     } else if (arg.starts_with(kTenants)) {
       flags.tenants =
           parse_u32_flag("--tenants", arg.substr(kTenants.size()));
@@ -386,8 +394,8 @@ TelemetryFlags parse_telemetry_flags(int argc, char** argv) {
     } else if (arg == "--latency") {
       flags.latency = true;
     } else if (arg.starts_with(kThreshold)) {
-      flags.latency_threshold_us =
-          std::atof(std::string(arg.substr(kThreshold.size())).c_str());
+      flags.latency_threshold_us = parse_nonnegative_flag(
+          "--latency-threshold-us", arg.substr(kThreshold.size()));
     } else if (arg.starts_with(kFlight)) {
       flags.flight_out = std::string(arg.substr(kFlight.size()));
     }

@@ -46,13 +46,15 @@ struct EngineParams {
   std::uint32_t chunk_count = 100;
   double offload_threshold = 0.6;
   core::OffloadPolicy offload_policy = core::OffloadPolicy::kLeastBusy;
-  /// Tenants sharing the NIC (kWirecapAdvanced only): the queues are
-  /// partitioned into `tenants` contiguous slices, each registered as
-  /// its own TenantSpec/buddy group.  1 keeps the paper's single
+  /// Tenants sharing the NIC (kWirecapAdvanced and kDpdkAppOffload):
+  /// the queues are partitioned into `tenants` contiguous slices, each
+  /// registered as its own TenantSpec — a buddy group, or the DPDK
+  /// application's peer group.  1 keeps the paper's single
   /// "multi_pkt_handler application" arrangement.  More tenants than
   /// queues makes the Experiment constructor throw.
   std::uint32_t tenants = 1;
   /// Per-tenant chunk-pool quota (0 = each tenant's full pools).
+  /// WireCAP-only.
   std::uint32_t tenant_quota = 0;
   /// NUMA node the NIC DMAs into, and per-queue placement of capture
   /// pools/threads (empty = all on nic_numa_node).  WireCAP-only.
@@ -139,6 +141,8 @@ struct TelemetryFlags {
   void write(const telemetry::Telemetry& source) const;
 };
 
+/// Throws std::invalid_argument on a --latency-threshold-us value that
+/// is not a whole finite non-negative number.
 [[nodiscard]] TelemetryFlags parse_telemetry_flags(int argc, char** argv);
 
 /// The pipeline command-line surface:

@@ -1,5 +1,6 @@
-// Minimal leveled logger.  Experiments run quiet by default; examples turn
-// on kInfo to narrate what the engine is doing.
+// Minimal leveled logger.  The level defaults to kWarn, so only warnings
+// and errors (e.g. an unwritable telemetry export path) reach stderr or
+// the installed sink; set_log_level() moves the bar.
 #pragma once
 
 #include <functional>

@@ -15,15 +15,10 @@ WirecapEngine::WirecapEngine(sim::Scheduler& scheduler,
     throw std::invalid_argument("WirecapEngine: T must be in (0, 1]");
   }
   queues_.resize(nic_.config().num_rx_queues);
-  // Seed every queue's effective knobs from the engine-wide config;
-  // TenantSpec registration overrides them per group.
   for (std::uint32_t q = 0; q < queues_.size(); ++q) {
-    QueueState& qs = queues_[q];
-    qs.offload_policy = config_.offload_policy;
-    qs.offload_threshold = config_.offload_threshold;
-    qs.numa_node = q < config_.queue_numa_node.size()
-                       ? config_.queue_numa_node[q]
-                       : config_.nic_numa_node;
+    queues_[q].numa_node = q < config_.queue_numa_node.size()
+                               ? config_.queue_numa_node[q]
+                               : config_.nic_numa_node;
   }
 }
 
@@ -35,11 +30,10 @@ void WirecapEngine::open(std::uint32_t queue, sim::SimCore& /*app_core*/) {
   driver::WirecapDriverConfig driver_config;
   driver_config.cells_per_chunk = config_.cells_per_chunk;
   driver_config.chunk_count = config_.chunk_count;
-  driver_config.cell_size = config_.cell_size;
   driver_config.partial_chunk_timeout = costs_.partial_chunk_timeout;
-  // Pool placement follows the queue's (possibly tenant-overridden)
-  // NUMA node: the fresh pool is allocated where the capture thread
-  // runs, so only NIC-to-pool DMA distance shows up as a penalty.
+  // Pool placement follows the queue's NUMA node: the fresh pool is
+  // allocated where the capture thread runs, so only NIC-to-pool DMA
+  // distance shows up as a penalty.
   driver_config.numa_node = qs.numa_node;
   qs.driver = std::make_unique<driver::WirecapQueueDriver>(nic_, queue,
                                                            driver_config);
@@ -197,18 +191,12 @@ engines::TenantId WirecapEngine::register_tenant(
 void WirecapEngine::rebuild_tenant_wiring() {
   const std::vector<engines::TenantSpec>& specs = tenants();
   accounts_.resize(specs.size());
-  // Reset every queue to the engine-wide defaults, then overlay each
-  // spec.  Queues released from a tenant (upsert shrank its group, or
-  // another spec claimed them) fall back to defaults with no buddies.
-  for (std::uint32_t q = 0; q < queues_.size(); ++q) {
-    QueueState& qs = queues_[q];
+  // Clear every queue's membership, then wire each spec.  Queues
+  // released from a tenant (upsert shrank its group, or another spec
+  // claimed them) end up with no tenant and no buddies.
+  for (QueueState& qs : queues_) {
     qs.tenant = engines::kNoTenant;
     qs.buddies.clear();
-    qs.offload_policy = config_.offload_policy;
-    qs.offload_threshold = config_.offload_threshold;
-    qs.numa_node = q < config_.queue_numa_node.size()
-                       ? config_.queue_numa_node[q]
-                       : config_.nic_numa_node;
   }
   for (engines::TenantId id = 0; id < specs.size(); ++id) {
     const engines::TenantSpec& spec = specs[id];
@@ -219,9 +207,6 @@ void WirecapEngine::rebuild_tenant_wiring() {
       for (const std::uint32_t other : spec.queues) {
         if (other != q) qs.buddies.push_back(other);
       }
-      if (spec.offload_policy) qs.offload_policy = *spec.offload_policy;
-      if (spec.offload_threshold) qs.offload_threshold = spec.offload_threshold;
-      if (spec.numa_node) qs.numa_node = *spec.numa_node;
     }
   }
   // Budgets follow their queues: recompute each account's charged sum
@@ -387,9 +372,7 @@ Nanos WirecapEngine::dispatch(std::uint32_t queue,
     return load;
   };
 
-  // Per-queue knobs: a TenantSpec may have overridden the engine-wide
-  // threshold/policy for this queue's group.
-  if (qs.offload_threshold && !qs.buddies.empty()) {
+  if (config_.offload_threshold && !qs.buddies.empty()) {
     // One observation of the home load drives both the threshold test
     // and the keep-home compare below.  The load is volatile (spool
     // probes, concurrent consumers): re-reading it for the compare
@@ -399,10 +382,10 @@ Nanos WirecapEngine::dispatch(std::uint32_t queue,
     const std::size_t home_load = effective_load(queue);
     const double fill = static_cast<double>(home_load) /
                         static_cast<double>(config_.chunk_count);
-    if (fill > *qs.offload_threshold) {
+    if (fill > *config_.offload_threshold) {
       // Long-term load imbalance indicator tripped: pick a buddy per the
       // configured policy (the paper's is least-busy).
-      switch (qs.offload_policy) {
+      switch (config_.offload_policy) {
         case OffloadPolicy::kLeastBusy: {
           std::size_t best_len = std::numeric_limits<std::size_t>::max();
           for (const std::uint32_t buddy : qs.buddies) {
@@ -577,13 +560,13 @@ void WirecapEngine::serve_views(QueueState& qs,
   const std::span<std::byte> bytes = pool.chunk_bytes(meta.chunk_id);
   const std::span<const driver::CellInfo> cells =
       pool.chunk_cells(meta.chunk_id);
-  const std::uint32_t stride = pool.cell_stride();
   for (std::uint32_t i = 0; i < take; ++i) {
     const std::uint32_t cell_index = meta.first_cell + current.cursor + i;
     const driver::CellInfo& info = cells[cell_index];
     engines::CaptureView& view = views[i];
     view.bytes = bytes.subspan(
-        static_cast<std::size_t>(cell_index) * stride, info.length);
+        static_cast<std::size_t>(cell_index) * nic::kMaterializedBytes,
+        info.length);
     view.wire_len = info.wire_length;
     view.timestamp = Nanos{info.timestamp_ns};
     view.seq = info.seq;

@@ -25,6 +25,9 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -40,10 +43,36 @@
 
 namespace wirecap::core {
 
-/// The offload-target policy now lives in common/handoff.hpp (the
-/// engines-layer config and TenantSpec carry it without linking core);
-/// the alias keeps core::OffloadPolicy spelling working.
-using OffloadPolicy = wirecap::OffloadPolicy;
+/// How an overloaded capture thread picks the buddy to offload to.
+/// The paper's design targets "an idle or less busy receive queue"
+/// (least-busy); the alternatives exist for the ablation benchmarks.
+enum class OffloadPolicy : std::uint8_t {
+  kLeastBusy,    // shortest buddy capture queue (the paper's policy)
+  kRandomBuddy,  // uniform random buddy
+  kRoundRobin,   // cycle through buddies
+};
+
+[[nodiscard]] constexpr const char* to_string(OffloadPolicy policy) {
+  switch (policy) {
+    case OffloadPolicy::kLeastBusy: return "least-busy";
+    case OffloadPolicy::kRandomBuddy: return "random";
+    case OffloadPolicy::kRoundRobin: return "round-robin";
+  }
+  return "least-busy";
+}
+
+// CLI-boundary parser.  Engine configs carry the enum; only argv
+// handling converts strings, and an unknown value fails fast with the
+// allowed set spelled out.
+[[nodiscard]] inline OffloadPolicy parse_offload_policy(
+    std::string_view text) {
+  if (text == "least-busy") return OffloadPolicy::kLeastBusy;
+  if (text == "random") return OffloadPolicy::kRandomBuddy;
+  if (text == "round-robin") return OffloadPolicy::kRoundRobin;
+  throw std::invalid_argument("unknown offload policy \"" +
+                              std::string(text) +
+                              "\" (allowed: least-busy, random, round-robin)");
+}
 
 struct WirecapConfig {
   /// M — cells per chunk == descriptors per segment.
@@ -53,7 +82,6 @@ struct WirecapConfig {
   /// T — offloading percentage threshold in (0, 1]; nullopt runs the
   /// engine in basic mode (no offloading).
   std::optional<double> offload_threshold;
-  std::uint32_t cell_size = 2048;
   /// Chunks moved per capture ioctl invocation.
   std::size_t max_chunks_per_capture = 16;
   /// Offload target selection (ablation; default is the paper's).
@@ -64,8 +92,7 @@ struct WirecapConfig {
   /// buffer pool; empty places every queue on nic_numa_node.  A queue
   /// on a different node than the NIC pays numa_remote_capture_cost per
   /// captured chunk; an offload whose target sits on a different node
-  /// than the dispatcher pays numa_remote_handoff_cost.  A
-  /// TenantSpec::numa_node overrides its member queues' entries.
+  /// than the dispatcher pays numa_remote_handoff_cost.
   std::vector<std::uint32_t> queue_numa_node;
 };
 
@@ -105,10 +132,9 @@ class WirecapEngine final : public engines::CaptureEngine {
 
   /// Registers (or upserts) a tenant: wires its queues into one buddy
   /// group (each member's buddy list becomes the group minus itself —
-  /// offloading never crosses tenants), applies the spec's quota and
-  /// per-tenant policy/threshold/NUMA overrides to the member queues,
-  /// and releases queues the spec claims from any previous owner.
-  /// Member queues must already be open (std::logic_error otherwise).
+  /// offloading never crosses tenants), applies the spec's quota, and
+  /// releases queues the spec claims from any previous owner.  Member
+  /// queues must already be open (std::logic_error otherwise).
   engines::TenantId register_tenant(const engines::TenantSpec& spec) override;
 
   /// Quota-side account of `tenant` (charged captured chunks, quota,
@@ -274,14 +300,9 @@ class WirecapEngine final : public engines::CaptureEngine {
     std::vector<std::uint32_t> buddies;
     /// Owning tenant (kNoTenant until a spec claims this queue).
     engines::TenantId tenant = engines::kNoTenant;
-    /// Effective offload knobs: the engine config's values until a
-    /// TenantSpec override replaces them.  dispatch() reads these, not
-    /// config_, so tenants can differ per group.  Persist across
-    /// close()/open() cycles.
-    OffloadPolicy offload_policy = OffloadPolicy::kLeastBusy;
-    std::optional<double> offload_threshold;
-    /// NUMA node of this queue's capture thread + pool (config /
-    /// TenantSpec override; pools created by open() are placed here).
+    /// NUMA node of this queue's capture thread + pool, fixed at
+    /// construction from WirecapConfig (pools created by open() are
+    /// placed here).
     std::uint32_t numa_node = 0;
     /// Captured chunks of this ring's pool currently charged against
     /// the owning tenant's quota (== the pool's captured count while
@@ -374,10 +395,10 @@ class WirecapEngine final : public engines::CaptureEngine {
   /// Publishes `<prefix>.tenant.<id>.*` (charged, quota, quota_stalls,
   /// delivered, queues); same late-binding rules as queue telemetry.
   void bind_tenant_telemetry(engines::TenantId tenant);
-  /// Rebuilds every queue's tenant membership, buddy list and override
-  /// knobs from the base-class registry, then recomputes the accounts'
-  /// charged sums — one idempotent pass that handles upserts and
-  /// cross-tenant queue releases alike.
+  /// Rebuilds every queue's tenant membership and buddy list from the
+  /// base-class registry, then recomputes the accounts' charged sums —
+  /// one idempotent pass that handles upserts and cross-tenant queue
+  /// releases alike.
   void rebuild_tenant_wiring();
   /// Credits `count` recycled (or close-stranded) chunks of `ring`'s
   /// pool back to its queue tally and its tenant's budget.

@@ -4,8 +4,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "nic/descriptor.hpp"
-
 namespace wirecap::driver {
 
 std::uint64_t RingBufferPool::next_uid() {
@@ -16,19 +14,16 @@ std::uint64_t RingBufferPool::next_uid() {
 RingBufferPool::RingBufferPool(std::uint32_t nic_id, std::uint32_t ring_id,
                                std::uint32_t cells_per_chunk,
                                std::uint32_t chunk_count,
-                               std::uint32_t cell_size,
                                std::uint32_t numa_node)
     : nic_id_(nic_id),
       ring_id_(ring_id),
       cells_per_chunk_(cells_per_chunk),
       chunk_count_(chunk_count),
-      cell_size_(cell_size),
-      cell_stride_(nic::materialized_bytes(cell_size)),
       numa_node_(numa_node) {
-  if (cells_per_chunk == 0 || chunk_count == 0 || cell_size == 0) {
-    throw std::invalid_argument("RingBufferPool: M, R, cell size must be > 0");
+  if (cells_per_chunk == 0 || chunk_count == 0) {
+    throw std::invalid_argument("RingBufferPool: M and R must be > 0");
   }
-  memory_.resize(capacity_packets() * cell_stride_);
+  memory_.resize(capacity_packets() * nic::kMaterializedBytes);
   cell_info_.resize(capacity_packets());
   states_.assign(chunk_count, ChunkState::kFree);
   extra_shares_.assign(chunk_count, 0);
@@ -169,8 +164,8 @@ std::span<std::byte> RingBufferPool::cell(std::uint32_t chunk_id,
   }
   const std::size_t offset =
       (static_cast<std::size_t>(chunk_id) * cells_per_chunk_ + cell_index) *
-      cell_stride_;
-  return {memory_.data() + offset, cell_stride_};
+      nic::kMaterializedBytes;
+  return {memory_.data() + offset, nic::kMaterializedBytes};
 }
 
 std::span<const std::byte> RingBufferPool::cell(

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "nic/descriptor.hpp"
 
 namespace wirecap::driver {
 
@@ -112,12 +113,11 @@ struct CellInfo {
 class RingBufferPool {
  public:
   /// Creates a pool of `chunk_count` (R) chunks of `cells_per_chunk` (M)
-  /// cells, each `cell_size` bytes (2 KiB in the paper's
-  /// implementation).  Only each cell's materialized prefix is
-  /// allocated (cell_stride()).
+  /// cells, each a nic::kBufferBytes packet buffer.  Only each cell's
+  /// materialized prefix is allocated (nic::kMaterializedBytes).
   RingBufferPool(std::uint32_t nic_id, std::uint32_t ring_id,
                  std::uint32_t cells_per_chunk, std::uint32_t chunk_count,
-                 std::uint32_t cell_size = 2048, std::uint32_t numa_node = 0);
+                 std::uint32_t numa_node = 0);
 
   [[nodiscard]] std::uint32_t nic_id() const { return nic_id_; }
   [[nodiscard]] std::uint32_t ring_id() const { return ring_id_; }
@@ -128,11 +128,6 @@ class RingBufferPool {
   [[nodiscard]] std::uint64_t uid() const { return uid_; }
   [[nodiscard]] std::uint32_t cells_per_chunk() const { return cells_per_chunk_; }
   [[nodiscard]] std::uint32_t chunk_count() const { return chunk_count_; }
-  /// Modelled cell size: what capacity, memory and cost accounting see.
-  [[nodiscard]] std::uint32_t cell_size() const { return cell_size_; }
-  /// Bytes backing each cell, nic::materialized_bytes(cell_size()): the
-  /// size of a cell() span and the distance between adjacent cells.
-  [[nodiscard]] std::uint32_t cell_stride() const { return cell_stride_; }
   /// NUMA node the pool's memory is allocated on (placement decided by
   /// the driver config; the cost model charges remote-socket access).
   [[nodiscard]] std::uint32_t numa_node() const { return numa_node_; }
@@ -142,9 +137,9 @@ class RingBufferPool {
     return static_cast<std::uint64_t>(cells_per_chunk_) * chunk_count_;
   }
 
-  /// Total modelled pool memory in bytes (R * M * cell_size).
+  /// Total modelled pool memory in bytes (R * M * 2 KB).
   [[nodiscard]] std::uint64_t memory_bytes() const {
-    return capacity_packets() * cell_size_;
+    return capacity_packets() * nic::kBufferBytes;
   }
 
   [[nodiscard]] std::uint32_t free_chunks() const {
@@ -213,8 +208,8 @@ class RingBufferPool {
   /// Current population of each state (O(R); for audits and tests).
   [[nodiscard]] ChunkStateCounts state_counts() const;
 
-  /// Memory of one cell (the DMA target / packet bytes): cell_stride()
-  /// bytes.
+  /// Memory of one cell (the DMA target / packet bytes):
+  /// nic::kMaterializedBytes bytes.
   [[nodiscard]] std::span<std::byte> cell(std::uint32_t chunk_id,
                                           std::uint32_t cell_index);
   [[nodiscard]] std::span<const std::byte> cell(std::uint32_t chunk_id,
@@ -260,12 +255,10 @@ class RingBufferPool {
   std::uint32_t ring_id_;
   std::uint32_t cells_per_chunk_;
   std::uint32_t chunk_count_;
-  std::uint32_t cell_size_;
-  std::uint32_t cell_stride_;
   std::uint32_t numa_node_ = 0;
   /// One allocation for all chunks, so each chunk's cells are adjacent
   /// (the paper's chunk occupies physically contiguous memory): chunk
-  /// c's cell i lives at offset ((c * M) + i) * cell_stride.
+  /// c's cell i lives at offset ((c * M) + i) * nic::kMaterializedBytes.
   std::vector<std::byte> memory_;
   std::vector<CellInfo> cell_info_;
   std::vector<ChunkState> states_;
@@ -279,7 +272,7 @@ inline std::span<std::byte> RingBufferPool::chunk_bytes(
     std::uint32_t chunk_id) {
   check_chunk_id(chunk_id);
   const std::size_t stride =
-      static_cast<std::size_t>(cells_per_chunk_) * cell_stride_;
+      static_cast<std::size_t>(cells_per_chunk_) * nic::kMaterializedBytes;
   return std::span<std::byte>(memory_.data() + chunk_id * stride, stride);
 }
 

@@ -12,7 +12,7 @@ WirecapQueueDriver::WirecapQueueDriver(nic::MultiQueueNic& nic,
       queue_(queue),
       config_(config),
       pool_(nic.nic_id(), queue, config.cells_per_chunk, config.chunk_count,
-            config.cell_size, config.numa_node) {
+            config.numa_node) {
   if (config_.cells_per_chunk > nic.config().rx_ring_size) {
     throw std::invalid_argument(
         "WirecapQueueDriver: segment size M exceeds the ring size");
@@ -193,24 +193,6 @@ std::size_t WirecapQueueDriver::recycle_batch(
   // path pays.
   if (accepted > 0) replenish();
   return accepted;
-}
-
-bool WirecapQueueDriver::transmit(std::uint32_t tx_queue,
-                                  const ChunkMeta& meta,
-                                  std::uint32_t cell_index,
-                                  std::function<void()> on_complete) {
-  if (pool_.state(meta.chunk_id) != ChunkState::kCaptured) {
-    throw std::invalid_argument(
-        "WirecapQueueDriver::transmit: chunk not captured");
-  }
-  const CellInfo& info = pool_.cell_info(meta.chunk_id, cell_index);
-  const auto cell = pool_.cell(meta.chunk_id, cell_index);
-  nic::TxRequest request;
-  request.frame = cell.first(info.length);
-  request.wire_length = info.wire_length;
-  request.seq = info.seq;
-  request.on_complete = std::move(on_complete);
-  return nic_.transmit(tx_queue, std::move(request));
 }
 
 void WirecapQueueDriver::close() {

@@ -12,9 +12,9 @@
 //   recycle — validate user metadata and return a chunk to the free pool
 //   close   — tear down
 //
-// The driver also exposes the zero-copy transmit path: a captured
-// packet still sitting in a pool cell is attached to a NIC transmit
-// descriptor without being copied.
+// Zero-copy forwarding needs no driver operation: the engine attaches a
+// captured packet's pool cell to the output NIC's transmit descriptor
+// and recycles the chunk once transmission completes.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,6 @@ struct WirecapDriverConfig {
   /// R — chunks in the pool (R > ring_size / M "to provide a large ring
   /// buffer pool").
   std::uint32_t chunk_count = 100;
-  std::uint32_t cell_size = 2048;
   /// Timeout after which a partially filled chunk is copied out so
   /// packets are not held in the receive ring too long.
   Nanos partial_chunk_timeout = Nanos::from_millis(1.0);
@@ -91,11 +90,6 @@ class WirecapQueueDriver {
   /// of its first packet.  This is when the chunk's data entered the
   /// ring — the anchor for end-to-end latency accounting.
   [[nodiscard]] Nanos chunk_arrival(const ChunkMeta& meta) const;
-
-  /// Zero-copy transmit of a captured packet residing in a pool cell.
-  /// Returns false when the TX ring is full.
-  bool transmit(std::uint32_t tx_queue, const ChunkMeta& meta,
-                std::uint32_t cell_index, std::function<void()> on_complete);
 
   /// The close operation: detaches every still-attached chunk back to
   /// the free pool and resets the receive ring.  Packets sitting

@@ -6,6 +6,22 @@
 #include <stdexcept>
 
 namespace wirecap::engines {
+namespace {
+
+/// Packets consumed per rx_burst call.
+constexpr std::size_t kBurstSize = 32;
+/// Per-packet application-side cost of popping the software ring.
+constexpr Nanos kRxCost{7};
+/// Per-packet cost of the RX lcore's burst receive path (descriptor
+/// refill amortized), charged to the lcore.
+constexpr Nanos kIoCost{12};
+/// RX lcore poll interval when the ring is empty.
+constexpr Nanos kPollInterval = Nanos::from_micros(50);
+/// Extra per-packet cost of the application-layer redirection
+/// (software-queue enqueue + synchronization), charged to the sender.
+constexpr Nanos kAppOffloadCost{120};
+
+}  // namespace
 
 DpdkEngine::DpdkEngine(sim::Scheduler& scheduler, nic::MultiQueueNic& nic,
                        DpdkConfig config)
@@ -14,17 +30,16 @@ DpdkEngine::DpdkEngine(sim::Scheduler& scheduler, nic::MultiQueueNic& nic,
     throw std::invalid_argument(
         "DpdkEngine: mempool must exceed the ring size");
   }
-  if (config_.burst_size == 0) {
-    throw std::invalid_argument("DpdkEngine: burst_size must be positive");
-  }
   queues_.resize(nic_.config().num_rx_queues);
 }
 
+Nanos DpdkEngine::app_overhead_per_packet() const { return kRxCost; }
+
 std::span<std::byte> DpdkEngine::mbuf_bytes(QueueState& qs,
                                             std::uint32_t mbuf) {
-  const std::uint32_t stride = nic::materialized_bytes(config_.mbuf_size);
-  return {qs.mempool.data() + static_cast<std::size_t>(mbuf) * stride,
-          stride};
+  return {qs.mempool.data() +
+              static_cast<std::size_t>(mbuf) * nic::kMaterializedBytes,
+          nic::kMaterializedBytes};
 }
 
 void DpdkEngine::open(std::uint32_t queue, sim::SimCore& app_core) {
@@ -33,7 +48,7 @@ void DpdkEngine::open(std::uint32_t queue, sim::SimCore& app_core) {
   qs.open = true;
   qs.app_core = &app_core;
   qs.mempool.resize(static_cast<std::size_t>(config_.mempool_size) *
-                    nic::materialized_bytes(config_.mbuf_size));
+                    nic::kMaterializedBytes);
   qs.free_mbufs.resize(config_.mempool_size);
   std::iota(qs.free_mbufs.rbegin(), qs.free_mbufs.rend(), 0u);
 
@@ -59,8 +74,7 @@ void DpdkEngine::io_poll(std::uint32_t queue) {
     if (n == 0) break;
     received += n;
   }
-  const Nanos cost{static_cast<std::int64_t>(received) *
-                   config_.io_cost.count()};
+  const Nanos cost{static_cast<std::int64_t>(received) * kIoCost.count()};
   qs.io_core->submit(sim::WorkPriority::kUser, cost,
                      [this, queue, received] {
     QueueState& state = queues_[queue];
@@ -68,7 +82,7 @@ void DpdkEngine::io_poll(std::uint32_t queue) {
     if (received > 0) {
       io_poll(queue);
     } else {
-      scheduler_.schedule_after(config_.poll_interval,
+      scheduler_.schedule_after(kPollInterval,
                                 [this, queue] { io_poll(queue); });
     }
   });
@@ -78,18 +92,6 @@ void DpdkEngine::close(std::uint32_t queue) {
   QueueState& qs = queues_.at(queue);
   qs.open = false;  // the lcore poll loop exits on its next wakeup
   qs.data_callback = nullptr;
-}
-
-void DpdkEngine::set_peer_group(const std::vector<std::uint32_t>& queues) {
-  for (const std::uint32_t q : queues) {
-    if (!queues_.at(q).open) {
-      throw std::logic_error("DpdkEngine: peer queue not open");
-    }
-    queues_[q].peers.clear();
-    for (const std::uint32_t other : queues) {
-      if (other != q) queues_[q].peers.push_back(other);
-    }
-  }
 }
 
 TenantId DpdkEngine::register_tenant(const TenantSpec& spec) {
@@ -130,7 +132,7 @@ std::size_t DpdkEngine::rx_burst(std::uint32_t queue) {
   }
 
   std::vector<PacketHandle> burst;
-  while (burst.size() < config_.burst_size && ring.has_filled()) {
+  while (burst.size() < kBurstSize && ring.has_filled()) {
     const auto consumed = ring.consume();
     PacketHandle handle;
     handle.owner_queue = queue;
@@ -180,7 +182,7 @@ std::size_t DpdkEngine::rx_burst(std::uint32_t queue) {
         qs.io_core->submit(
             sim::WorkPriority::kUser,
             Nanos{static_cast<std::int64_t>(burst.size()) *
-                  config_.app_offload_cost.count()},
+                  kAppOffloadCost.count()},
             [] {});
         if (ts.data_callback) ts.data_callback();
         return burst.size();

@@ -40,24 +40,10 @@ namespace wirecap::engines {
 struct DpdkConfig {
   /// mbufs in each queue's mempool (the buffering bound).
   std::uint32_t mempool_size = 25'600;
-  std::uint32_t mbuf_size = 2048;
-  /// Packets consumed per rx_burst call.
-  std::uint32_t burst_size = 32;
-  /// Per-packet application-side cost of popping the software ring.
-  Nanos rx_cost = Nanos{7};
-  /// Per-packet cost of the RX lcore's burst receive path (descriptor
-  /// refill amortized), charged to the lcore.
-  Nanos io_cost = Nanos{12};
-  /// RX lcore poll interval when the ring is empty.
-  Nanos poll_interval = Nanos::from_micros(50);
-
   /// Enables the hand-rolled application-layer offloading.
   bool app_offload = false;
   /// Backlog fraction of the mempool beyond which a burst is redirected.
   double app_offload_threshold = 0.6;
-  /// Extra per-packet cost of the application-layer redirection
-  /// (software-queue enqueue + synchronization), charged to the sender.
-  Nanos app_offload_cost = Nanos{120};
 };
 
 class DpdkEngine final : public CaptureEngine {
@@ -76,9 +62,8 @@ class DpdkEngine final : public CaptureEngine {
   void done(std::uint32_t queue, const CaptureView& view) override;
   bool forward(std::uint32_t queue, const CaptureView& view,
                nic::MultiQueueNic& out_nic, std::uint32_t tx_queue) override;
-  [[nodiscard]] Nanos app_overhead_per_packet() const override {
-    return config_.rx_cost;
-  }
+  /// Popping the software ring.
+  [[nodiscard]] Nanos app_overhead_per_packet() const override;
   void set_data_callback(std::uint32_t queue,
                          std::function<void()> fn) override;
   [[nodiscard]] EngineQueueStats queue_stats(
@@ -89,14 +74,11 @@ class DpdkEngine final : public CaptureEngine {
                       const std::string& prefix,
                       std::uint32_t num_queues) override;
 
-  /// Declares the application threads that may exchange packets through
-  /// the app-layer software queues (the DPDK analogue of a buddy group,
-  /// except the *application* owns all of it).
-  void set_peer_group(const std::vector<std::uint32_t>& queues);
-
   /// Tenant registration maps onto peer groups: each tenant's queues
-  /// exchange packets among themselves only.  Quotas and NUMA overrides
-  /// are WireCAP concepts and are ignored here.
+  /// are application threads that exchange packets through the
+  /// app-layer software queues, among themselves only (the DPDK
+  /// analogue of a buddy group, except the *application* owns all of
+  /// it).  Quotas are a WireCAP concept and are ignored here.
   TenantId register_tenant(const TenantSpec& spec) override;
 
   /// mbufs currently out of the free list (backlog indicator).
@@ -118,7 +100,7 @@ class DpdkEngine final : public CaptureEngine {
     bool open = false;
     sim::SimCore* app_core = nullptr;
     std::unique_ptr<sim::SimCore> io_core;  // the queue's RX lcore
-    // mempool_size mbufs of nic::materialized_bytes(mbuf_size) bytes
+    // mempool_size mbufs of nic::kMaterializedBytes bytes
     std::vector<std::byte> mempool;
     std::vector<std::uint32_t> free_mbufs;
     std::deque<PacketHandle> local;       // software ring to the worker
@@ -133,7 +115,7 @@ class DpdkEngine final : public CaptureEngine {
   /// The RX lcore's poll loop: repeated rte_eth_rx_burst draining the
   /// descriptor ring into the software ring(s).
   void io_poll(std::uint32_t queue);
-  /// One rte_eth_rx_burst: consume up to burst_size filled descriptors,
+  /// One rte_eth_rx_burst: consume up to a burst of filled descriptors,
   /// refilling each with a fresh mbuf; places handles on `local` or, if
   /// offloading trips, on the least busy peer's `inbound`.  Returns the
   /// number received.

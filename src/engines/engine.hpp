@@ -59,11 +59,10 @@ class CaptureEngine {
 
   /// Registers (or, for an existing `spec.name`, replaces) a tenant:
   /// one application owning a disjoint set of this NIC's queues — its
-  /// buddy/peer group — plus a chunk quota and optional per-tenant
-  /// policy overrides (see engines/tenant.hpp).  Queues the spec claims
-  /// are released from any previous owner.  Returns the tenant's dense
-  /// id.  Throws std::invalid_argument on an empty name or an empty or
-  /// duplicate-carrying queue list.  The base
+  /// buddy/peer group — plus a chunk quota (see engines/tenant.hpp).
+  /// Queues the spec claims are released from any previous owner.
+  /// Returns the tenant's dense id.  Throws std::invalid_argument on an
+  /// empty name or an empty or duplicate-carrying queue list.  The base
   /// implementation only maintains the registry; engines override to
   /// wire the group into their offload/peer machinery (and may add
   /// preconditions, e.g. WireCAP requires the queues to be open).

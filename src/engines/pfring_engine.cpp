@@ -5,19 +5,28 @@
 #include <stdexcept>
 
 namespace wirecap::engines {
+namespace {
+
+/// Slots in the pf_ring intermediate buffer (the paper sets 10,240).
+constexpr std::uint32_t kSlots = 10240;
+/// Bytes stored per slot (snap length; headers are what applications
+/// filter on).
+constexpr std::uint32_t kSlotBytes = 256;
+
+}  // namespace
 
 PfRingEngine::PfRingEngine(sim::Scheduler& scheduler, nic::MultiQueueNic& nic,
-                           PfRingConfig config)
-    : scheduler_(scheduler), nic_(nic), config_(config) {
-  if (config_.pf_ring_slots == 0) {
-    throw std::invalid_argument("PfRingEngine: pf_ring needs slots");
-  }
+                           const sim::CostModel& costs)
+    : scheduler_(scheduler),
+      nic_(nic),
+      kernel_cost_(costs.pfring_kernel_cost),
+      napi_wakeup_delay_(costs.napi_wakeup_delay) {
   queues_.resize(nic_.config().num_rx_queues);
 }
 
 std::span<std::byte> PfRingEngine::cell(QueueState& qs, std::uint64_t index) {
-  const std::uint32_t stride = nic::materialized_bytes(config_.cell_size);
-  return {qs.cells.data() + index * stride, stride};
+  return {qs.cells.data() + index * nic::kMaterializedBytes,
+          nic::kMaterializedBytes};
 }
 
 void PfRingEngine::open(std::uint32_t queue, sim::SimCore& app_core) {
@@ -27,9 +36,9 @@ void PfRingEngine::open(std::uint32_t queue, sim::SimCore& app_core) {
   qs.app_core = &app_core;
   const std::uint32_t ring_size = nic_.config().rx_ring_size;
   qs.cells.resize(static_cast<std::size_t>(ring_size) *
-                  nic::materialized_bytes(config_.cell_size));
-  qs.slots.resize(config_.pf_ring_slots);
-  for (auto& slot : qs.slots) slot.data.resize(config_.slot_bytes);
+                  nic::kMaterializedBytes);
+  qs.slots.resize(kSlots);
+  for (auto& slot : qs.slots) slot.data.resize(kSlotBytes);
 
   nic::RxRing& ring = nic_.rx_ring(queue);
   for (std::uint32_t i = 0; i < ring_size; ++i) {
@@ -51,7 +60,7 @@ void PfRingEngine::schedule_napi(std::uint32_t queue) {
   QueueState& qs = queues_[queue];
   if (qs.napi_active || !qs.open) return;
   qs.napi_active = true;
-  scheduler_.schedule_after(config_.napi_wakeup_delay,
+  scheduler_.schedule_after(napi_wakeup_delay_,
                             [this, queue] { napi_step(queue); });
 }
 
@@ -70,8 +79,8 @@ void PfRingEngine::napi_step(std::uint32_t queue) {
   // One packet's worth of softirq work at kernel priority on the app
   // core — this is what preempts the application under load (receive
   // livelock).
-  qs.app_core->submit(sim::WorkPriority::kKernel,
-                      config_.kernel_cost_per_packet, [this, queue] {
+  qs.app_core->submit(sim::WorkPriority::kKernel, kernel_cost_,
+                      [this, queue] {
     QueueState& state = queues_[queue];
     if (!state.open) {
       state.napi_active = false;
@@ -183,8 +192,8 @@ void PfRingEngine::bind_telemetry(telemetry::Telemetry& telemetry,
     telemetry.registry.bind_gauge(qp + "pf_ring.depth", [this, q] {
       return static_cast<double>(queues_[q].count);
     });
-    telemetry.registry.bind_gauge(qp + "pf_ring.slots", [this] {
-      return static_cast<double>(config_.pf_ring_slots);
+    telemetry.registry.bind_gauge(qp + "pf_ring.slots", [] {
+      return static_cast<double>(kSlots);
     });
   }
 }

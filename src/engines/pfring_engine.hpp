@@ -22,24 +22,14 @@
 
 namespace wirecap::engines {
 
-struct PfRingConfig {
-  /// Slots in the pf_ring intermediate buffer (the paper sets 10,240).
-  std::uint32_t pf_ring_slots = 10240;
-  /// Bytes stored per slot (snap length; headers are what applications
-  /// filter on).
-  std::uint32_t slot_bytes = 256;
-  std::uint32_t cell_size = 2048;
-  /// Per-packet kernel work (copy + softirq overhead), charged at
-  /// kernel priority on the application's core.
-  Nanos kernel_cost_per_packet = Nanos{1800};
-  /// Interrupt-to-poll latency when NAPI is re-armed.
-  Nanos napi_wakeup_delay = Nanos::from_micros(60);
-};
-
 class PfRingEngine final : public CaptureEngine {
  public:
+  /// Copies the two PF_RING costs out of `costs` (callers may pass a
+  /// temporary): the per-packet NAPI work (pfring_kernel_cost), charged
+  /// at kernel priority on the application's core, and the
+  /// interrupt-to-poll latency (napi_wakeup_delay).
   PfRingEngine(sim::Scheduler& scheduler, nic::MultiQueueNic& nic,
-               PfRingConfig config);
+               const sim::CostModel& costs);
 
   [[nodiscard]] std::string_view name() const override { return "PF_RING"; }
 
@@ -94,7 +84,8 @@ class PfRingEngine final : public CaptureEngine {
 
   sim::Scheduler& scheduler_;
   nic::MultiQueueNic& nic_;
-  PfRingConfig config_;
+  Nanos kernel_cost_;
+  Nanos napi_wakeup_delay_;
   std::vector<QueueState> queues_;
 };
 

@@ -3,18 +3,26 @@
 #include <algorithm>
 
 namespace wirecap::engines {
+namespace {
 
-PsioeEngine::PsioeEngine(nic::MultiQueueNic& nic, PsioeConfig config)
-    : inner_(nic, Type2Config{"PSIOE-inner", config.sync_batch, Nanos{8},
-                              2048}),
-      config_(config) {
+/// Descriptors reclaimed per batched sync of the inner ring.
+constexpr std::uint32_t kSyncBatch = 64;
+/// Per-packet sync cost of the inner ring.
+constexpr Nanos kSyncCost{8};
+/// Per-packet user-space copy into the staging buffer.
+constexpr Nanos kCopyCost{95};
+
+}  // namespace
+
+PsioeEngine::PsioeEngine(nic::MultiQueueNic& nic)
+    : inner_(nic, Type2Config{"PSIOE-inner", kSyncBatch, kSyncCost}) {
   user_buffers_.resize(nic.config().num_rx_queues);
   copies_.resize(nic.config().num_rx_queues, 0);
 }
 
 void PsioeEngine::open(std::uint32_t queue, sim::SimCore& app_core) {
   inner_.open(queue, app_core);
-  user_buffers_.at(queue).resize(config_.user_buffer_bytes);
+  user_buffers_.at(queue).resize(nic::kBufferBytes);
 }
 
 void PsioeEngine::close(std::uint32_t queue) { inner_.close(queue); }
@@ -45,7 +53,7 @@ std::size_t PsioeEngine::try_next_batch(std::uint32_t queue,
   batch.clear();
   batch.source_ring = queue;
   auto& staging = user_buffers_.at(queue);
-  const std::size_t slot_bytes = config_.user_buffer_bytes;
+  constexpr std::size_t slot_bytes = nic::kBufferBytes;
   if (staging.size() < max_packets * slot_bytes) {
     staging.resize(max_packets * slot_bytes);
   }
@@ -83,7 +91,7 @@ bool PsioeEngine::forward(std::uint32_t queue, const CaptureView& view,
 }
 
 Nanos PsioeEngine::app_overhead_per_packet() const {
-  return config_.copy_cost + inner_.app_overhead_per_packet();
+  return kCopyCost + inner_.app_overhead_per_packet();
 }
 
 void PsioeEngine::set_data_callback(std::uint32_t queue,

@@ -15,15 +15,9 @@
 
 namespace wirecap::engines {
 
-struct PsioeConfig {
-  std::uint32_t sync_batch = 64;       // batched descriptor reclamation
-  Nanos copy_cost = Nanos{95};         // per-packet user-space copy
-  std::uint32_t user_buffer_bytes = 2048;
-};
-
 class PsioeEngine final : public CaptureEngine {
  public:
-  PsioeEngine(nic::MultiQueueNic& nic, PsioeConfig config);
+  explicit PsioeEngine(nic::MultiQueueNic& nic);
 
   [[nodiscard]] std::string_view name() const override { return "PSIOE"; }
 
@@ -33,7 +27,7 @@ class PsioeEngine final : public CaptureEngine {
   void done(std::uint32_t queue, const CaptureView& view) override;
   /// PSIOE copies bursts "to a consecutive user-level buffer"
   /// (PacketShader's chunk): the batch read carves the staging buffer
-  /// into one user_buffer_bytes slot per packet so every view of the
+  /// into one 2 KB slot per packet so every view of the
   /// batch has distinct storage (the base adapter would alias them all
   /// to the single per-packet slot).  Views are valid until the next
   /// batch is pulled; done()/done_batch() remain no-ops because the
@@ -50,7 +44,6 @@ class PsioeEngine final : public CaptureEngine {
 
  private:
   Type2Engine inner_;
-  PsioeConfig config_;
   /// Per-queue staging buffer in "user space"; the packet is copied here
   /// and the ring buffer released immediately.
   std::vector<std::vector<std::byte>> user_buffers_;

@@ -3,10 +3,10 @@
 // disjoint set of its receive queues.
 //
 // A TenantSpec's queues form the tenant's buddy group (offloading never
-// crosses tenants), `chunk_quota` caps how many captured chunks the
+// crosses tenants), and `chunk_quota` caps how many captured chunks the
 // tenant may hold engine-wide at once (a stalled tenant exhausts only
-// its own budget, not the NIC), and the optional per-tenant knobs
-// override the engine-wide defaults for the tenant's queues only.
+// its own budget, not the NIC).  Offload policy, threshold and NUMA
+// placement stay engine-wide.
 //
 // Registration is an upsert keyed on `name`: re-registering a name
 // replaces that tenant's spec.  Queue ownership is exclusive — a queue
@@ -16,11 +16,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
-
-#include "common/handoff.hpp"
 
 namespace wirecap::engines {
 
@@ -46,16 +43,6 @@ struct TenantSpec {
   /// stops capturing — its rings back up and drop — without touching
   /// any other tenant's pools.
   std::uint32_t chunk_quota = 0;
-
-  /// Per-tenant overrides of the engine-wide defaults; nullopt keeps
-  /// the engine config's value.
-  std::optional<OffloadPolicy> offload_policy;
-  std::optional<double> offload_threshold;
-
-  /// Pins every member queue's capture thread and pool to this NUMA
-  /// node (applied to pools created by subsequent open() calls; the
-  /// cost-model penalties apply immediately).
-  std::optional<std::uint32_t> numa_node;
 };
 
 /// Quota-side account of one tenant, exposed for tests / benches /

@@ -14,8 +14,8 @@ Type2Engine::Type2Engine(nic::MultiQueueNic& nic, Type2Config config)
 }
 
 std::span<std::byte> Type2Engine::cell(QueueState& qs, std::uint64_t index) {
-  const std::uint32_t stride = nic::materialized_bytes(config_.cell_size);
-  return {qs.cells.data() + index * stride, stride};
+  return {qs.cells.data() + index * nic::kMaterializedBytes,
+          nic::kMaterializedBytes};
 }
 
 void Type2Engine::open(std::uint32_t queue, sim::SimCore& /*app_core*/) {
@@ -24,7 +24,7 @@ void Type2Engine::open(std::uint32_t queue, sim::SimCore& /*app_core*/) {
   qs.open = true;
   const std::uint32_t ring_size = nic_.config().rx_ring_size;
   qs.cells.resize(static_cast<std::size_t>(ring_size) *
-                  nic::materialized_bytes(config_.cell_size));
+                  nic::kMaterializedBytes);
   nic::RxRing& ring = nic_.rx_ring(queue);
   for (std::uint32_t i = 0; i < ring_size; ++i) {
     ring.attach(nic::DmaBuffer{cell(qs, i), i});

@@ -30,7 +30,6 @@ struct Type2Config {
   std::uint32_t sync_batch = 1;
   /// Per-packet application-side cost of the sync path.
   Nanos sync_cost = Nanos{8};
-  std::uint32_t cell_size = 2048;
 };
 
 class Type2Engine final : public CaptureEngine {

@@ -33,17 +33,18 @@ struct DmaBuffer {
   [[nodiscard]] bool valid() const { return !data.empty(); }
 };
 
-/// Bytes of host memory that back a simulated DMA buffer modelled as
-/// `buffer_size` bytes.  The DMA copies min(snap, buffer) bytes and a
-/// WirePacket materializes at most kSnapBytes, so nothing is ever
-/// written past this prefix; allocating (and zeroing) the rest of a
-/// 2 KB buffer only costs memory traffic.  Capacity and cost accounting
-/// keep using `buffer_size`.
-[[nodiscard]] constexpr std::uint32_t materialized_bytes(
-    std::uint32_t buffer_size) {
-  return std::min(buffer_size,
-                  static_cast<std::uint32_t>(net::WirePacket::kSnapBytes));
-}
+/// The packet buffer behind every receive descriptor: 2 KB, as in the
+/// paper's implementation (§3.2.1).  Capacity, memory and cost
+/// accounting count this size.
+inline constexpr std::uint32_t kBufferBytes = 2048;
+
+/// Bytes of host memory that back one simulated buffer, and the
+/// distance between adjacent buffers of a pool.  The DMA copies
+/// min(snap, buffer) bytes and a WirePacket materializes at most
+/// kSnapBytes, so nothing is ever written past this prefix; allocating
+/// (and zeroing) the rest of a 2 KB buffer only costs memory traffic.
+inline constexpr std::uint32_t kMaterializedBytes = std::min(
+    kBufferBytes, static_cast<std::uint32_t>(net::WirePacket::kSnapBytes));
 
 enum class RxDescState : std::uint8_t {
   kEmpty,     // no buffer attached; cannot receive

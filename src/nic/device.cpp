@@ -131,10 +131,11 @@ void MultiQueueNic::start_tx_drain() {
     const std::uint32_t q = (tx_arbiter_ + i) % config_.num_tx_queues;
     if (!tx_queues_[q].empty()) {
       tx_arbiter_ = (q + 1) % config_.num_tx_queues;
-      // The frame's DMA read loads the shared bus (contending with RX
-      // DMA) but transmission is pipelined — descriptor prefetch means
-      // the wire, not a bus round-trip, paces the TX path.
-      bus_.issue(config_.tx_transactions_per_packet, [] {});
+      // The frame's DMA read (one transaction) loads the shared bus
+      // (contending with RX DMA) but transmission is pipelined —
+      // descriptor prefetch means the wire, not a bus round-trip, paces
+      // the TX path.
+      bus_.issue(1.0, [] {});
       finish_tx(q);
       return;
     }

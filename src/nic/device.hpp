@@ -28,10 +28,9 @@ struct NicConfig {
   std::uint32_t rx_ring_size = 1024;
   std::uint32_t tx_ring_size = 1024;
   double link_bits_per_second = 10e9;
-  /// Bus transactions per received packet (DMA write) and per
-  /// transmitted packet (DMA read).
+  /// Bus transactions per received packet (DMA write).  A transmitted
+  /// packet's DMA read is always one transaction.
   double rx_transactions_per_packet = 1.0;
-  double tx_transactions_per_packet = 1.0;
   /// Internal receive packet buffer (the 82599 has 512 KB).  Frames
   /// arriving while no descriptor is ready wait here; it is partitioned
   /// evenly across the configured receive queues.

@@ -52,13 +52,17 @@ struct CostModel {
   /// loop starting to service it (interrupt + softirq scheduling).
   Nanos napi_wakeup_delay = Nanos::from_micros(60);
 
-  /// Packets drained per NAPI poll invocation (the Linux NAPI "budget").
+  /// Calibration reference only — no engine path charges it: packets
+  /// drained per NAPI poll invocation (the Linux NAPI "budget").  The
+  /// PF_RING model services one packet per NAPI step.
   unsigned napi_budget = 64;
 
   // --- Type-II engines (DNA / NETMAP): app-driven sync ---
 
-  /// Per-packet amortized cost of the ring sync ioctl (descriptor
-  /// reinitialization, batched).
+  /// Calibration reference only — no engine path charges it: the
+  /// per-packet amortized cost of the ring sync ioctl (descriptor
+  /// reinitialization, batched).  DNA, NETMAP and PSIOE's inner ring
+  /// charge their own sync costs (6, 9 and 8 ns) through Type2Config.
   Nanos ring_sync_cost = Nanos{8};
 
   // --- WireCAP driver operations (run on the capture thread's core) ---
@@ -143,9 +147,6 @@ struct CostModel {
   Nanos disk_packet_write_cost = Nanos{600};
 
   // --- bus transactions (dimensionless multipliers of one DMA write) ---
-
-  /// A packet DMA'd from the NIC to host memory: one transaction.
-  double dma_transactions_per_packet = 1.0;
 
   /// WireCAP's extra bus traffic per packet (chunk attach + capture
   /// metadata, amortized over M packets plus pool-management accesses).

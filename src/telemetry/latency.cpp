@@ -64,12 +64,6 @@ void HdrHistogram::reset() {
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : ring_(capacity == 0 ? 1 : capacity) {}
 
-void FlightRecorder::set_capacity(std::size_t capacity) {
-  ring_.assign(capacity == 0 ? 1 : capacity, ChunkJourney{});
-  head_ = 0;
-  size_ = 0;
-}
-
 void FlightRecorder::push(const ChunkJourney& journey) {
   ring_[head_] = journey;
   head_ = (head_ + 1) % ring_.size();

@@ -130,7 +130,6 @@ class FlightRecorder {
 
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
-  void set_capacity(std::size_t capacity);
   void set_threshold(Nanos threshold) { threshold_ = threshold; }
   [[nodiscard]] Nanos threshold() const { return threshold_; }
 
@@ -179,9 +178,6 @@ class LatencyTracker {
 
   void set_outlier_threshold(Nanos threshold) {
     recorder_.set_threshold(threshold);
-  }
-  void set_recorder_capacity(std::size_t capacity) {
-    recorder_.set_capacity(capacity);
   }
 
   /// Folds a completed journey into the owning ring's histograms and

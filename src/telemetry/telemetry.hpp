@@ -31,8 +31,6 @@ struct TelemetryConfig {
   /// End-to-end latency at which a journey is retained by the flight
   /// recorder as an outlier.
   Nanos latency_outlier_threshold = Nanos::from_millis(1);
-  /// Journeys the flight recorder keeps in its recent-history ring.
-  std::size_t flight_recorder_capacity = FlightRecorder::kDefaultCapacity;
 };
 
 struct Telemetry {

@@ -26,6 +26,10 @@ constexpr Nanos kDmaSettle = Nanos::from_micros(20);
 constexpr Nanos kReopenDelay = Nanos::from_micros(100);
 constexpr Nanos kAppPollInterval = Nanos::from_micros(2);
 constexpr int kCloseRetries = 50;
+/// Mean inter-arrival of background traffic, per queue.
+constexpr Nanos kMeanGap = Nanos::from_micros(2);
+/// Cadence of the conservation audit.
+constexpr Nanos kCheckInterval = Nanos::from_micros(25);
 
 }  // namespace
 
@@ -54,8 +58,8 @@ FaultPlan FaultPlan::generate(const FaultPlanConfig& config) {
       FaultKind::kDelayedRecycle, FaultKind::kWithheldRecycle,
       FaultKind::kAppStall,       FaultKind::kTxBurst,
       FaultKind::kPoolExhaust,    FaultKind::kTimeoutStorm,
+      FaultKind::kQueueReopen,
   };
-  if (config.allow_reopen) kinds.push_back(FaultKind::kQueueReopen);
   if (config.spool_faults) {
     kinds.push_back(FaultKind::kSlowDisk);
     kinds.push_back(FaultKind::kDiskFull);
@@ -129,7 +133,7 @@ FaultHarness::FaultHarness(FaultHarnessConfig config)
       plan_(FaultPlan::generate(config.plan)),
       rng_(config.plan.seed),
       bus_(scheduler_),
-      auditor_(AuditorConfig{config.throw_on_violation, 64}) {
+      auditor_(AuditorConfig{config.throw_on_violation}) {
   const std::uint32_t queues = config_.plan.num_queues;
 
   nic::NicConfig nic_config;
@@ -143,10 +147,9 @@ FaultHarness::FaultHarness(FaultHarnessConfig config)
   core::WirecapConfig engine_config;
   engine_config.cells_per_chunk = config_.cells_per_chunk;
   engine_config.chunk_count = config_.chunk_count;
-  engine_config.cell_size = 2048;
-  if (config_.advanced_mode && queues > 1) {
-    engine_config.offload_threshold = 0.5;
-  }
+  // Advanced mode (buddy offloading) puts chunks on foreign capture
+  // queues — the paths close() must sweep.
+  if (queues > 1) engine_config.offload_threshold = 0.5;
   // Aggressive timing so the short horizon covers many rescue and poll
   // cycles.
   costs_.partial_chunk_timeout = Nanos::from_micros(30);
@@ -227,7 +230,6 @@ std::uint32_t FaultHarness::tenant_of(std::uint32_t queue) const {
 }
 
 void FaultHarness::rebind_buddies() {
-  if (!config_.advanced_mode) return;
   // Each tenant re-registers over its currently-open member queues
   // (registration is an upsert by name, so reopen cycles just refresh
   // the spec).  A tenant with every queue closed keeps its stale spec;
@@ -264,7 +266,7 @@ void FaultHarness::schedule_traffic(std::uint32_t queue, Nanos at) {
                      scheduler_.now() +
                          Nanos{static_cast<std::int64_t>(
                              jitter *
-                             static_cast<double>(config_.mean_gap.count()))});
+                             static_cast<double>(kMeanGap.count()))});
   });
 }
 
@@ -527,8 +529,7 @@ void FaultHarness::audit_tick() {
   }
   audit_tenants();
   if (scheduler_.now() < end_of_run_) {
-    scheduler_.schedule_after(config_.check_interval,
-                              [this] { audit_tick(); });
+    scheduler_.schedule_after(kCheckInterval, [this] { audit_tick(); });
   }
 }
 
@@ -555,13 +556,13 @@ FaultRunResult FaultHarness::run() {
     schedule_traffic(q, Nanos{static_cast<std::int64_t>(
                             rng_.next_below(
                                 static_cast<std::uint64_t>(
-                                    config_.mean_gap.count())))});
+                                    kMeanGap.count())))});
     scheduler_.schedule_at(Nanos::zero(), [this, q] { app_poll(q); });
   }
   for (const FaultEvent& event : plan_.events()) {
     scheduler_.schedule_at(event.at, [this, event] { apply(event); });
   }
-  scheduler_.schedule_after(config_.check_interval, [this] { audit_tick(); });
+  scheduler_.schedule_after(kCheckInterval, [this] { audit_tick(); });
 
   scheduler_.run_until(end_of_run_);
 

@@ -77,9 +77,6 @@ struct FaultPlanConfig {
   Nanos horizon = Nanos::from_millis(3);
   std::uint32_t num_queues = 2;
   std::uint32_t event_count = 24;
-  /// Close/open cycles are the most invasive adversity; tests that
-  /// want a steady-state-only schedule turn them off.
-  bool allow_reopen = true;
   /// Adds the simulated-disk adversities (kSlowDisk / kDiskFull) to the
   /// schedule — only meaningful with FaultHarnessConfig::spool.
   bool spool_faults = false;
@@ -117,18 +114,11 @@ struct FaultHarnessConfig {
   std::uint32_t chunk_count = 12;
   std::uint32_t rx_ring_size = 32;
   std::uint32_t tx_ring_size = 4;
-  /// Advanced mode (buddy offloading) puts chunks on foreign capture
-  /// queues — the paths close() must sweep.
-  bool advanced_mode = true;
   /// Per-tenant chunk quota handed to every registered TenantSpec
   /// (0 = uncapped).  Only meaningful with plan.num_tenants > 1, where
   /// it is what makes a stalled tenant exhaust *its own* budget while
   /// its neighbours keep capturing.
   std::uint32_t tenant_quota = 0;
-  /// Mean inter-arrival of background traffic, per queue.
-  Nanos mean_gap = Nanos::from_micros(2);
-  /// Cadence of the conservation audit.
-  Nanos check_interval = Nanos::from_micros(25);
   /// Settling time after the horizon before the final audit.
   Nanos drain = Nanos::from_millis(1);
   /// Fail at the violating call site instead of collecting (the soak

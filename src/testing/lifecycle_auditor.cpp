@@ -9,6 +9,9 @@
 namespace wirecap::testing {
 namespace {
 
+/// Violation messages kept verbatim (the count is always exact).
+constexpr std::size_t kMaxRecordedViolations = 64;
+
 /// The legal edges of the chunk state machine, by the operation that
 /// commits them.  Anything else is a lifecycle violation.
 const char* expected_cause(driver::ChunkState from, driver::ChunkState to) {
@@ -69,7 +72,7 @@ void ChunkLifecycleAuditor::violation(const driver::RingBufferPool& pool,
   std::ostringstream out;
   out << pool_tag(pool) << " chunk " << chunk_id << ": " << message;
   const std::string text = out.str();
-  if (violation_log_.size() < config_.max_recorded_violations) {
+  if (violation_log_.size() < kMaxRecordedViolations) {
     violation_log_.push_back(text);
   }
   if (tracer_ && tracer_->enabled() && clock_) {
@@ -248,7 +251,7 @@ void ChunkLifecycleAuditor::tenant_violation(engines::TenantId tenant,
   ++stats_.violations;
   const std::string text =
       "tenant " + std::to_string(tenant) + ": " + message;
-  if (violation_log_.size() < config_.max_recorded_violations) {
+  if (violation_log_.size() < kMaxRecordedViolations) {
     violation_log_.push_back(text);
   }
   if (tracer_ && tracer_->enabled() && clock_) {

@@ -41,8 +41,6 @@ struct AuditorConfig {
   /// The soak harness turns this off to collect every violation of a
   /// seed before reporting.
   bool throw_on_violation = true;
-  /// Violation messages kept verbatim (the count is always exact).
-  std::size_t max_recorded_violations = 64;
 };
 
 struct AuditorStats {

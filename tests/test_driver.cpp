@@ -1,7 +1,7 @@
 // Tests for the WireCAP kernel-side substrate: the ring-buffer-pool
 // state machine, strict recycle validation (including a metadata fuzz
 // sweep — §3.2.2c safety), and the per-queue driver's capture, partial
-// rescue, replenish, and transmit paths.
+// rescue and replenish paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,40 +25,31 @@ net::FlowKey test_flow() {
 // --- RingBufferPool ---
 
 TEST(RingBufferPool, Geometry) {
-  RingBufferPool pool{1, 0, 64, 10, 2048};
+  RingBufferPool pool{1, 0, 64, 10};
   EXPECT_EQ(pool.capacity_packets(), 640u);
   // Memory accounting keeps the modelled 2 KB cells ...
-  EXPECT_EQ(pool.cell_size(), 2048u);
   EXPECT_EQ(pool.memory_bytes(), 640u * 2048u);
   EXPECT_EQ(pool.free_chunks(), 10u);
   // ... while a cell's span is only what the wire can write into it.
-  EXPECT_EQ(pool.cell_stride(), net::WirePacket::kSnapBytes);
   EXPECT_EQ(pool.cell(0, 0).size(), net::WirePacket::kSnapBytes);
   EXPECT_EQ(pool.chunk_bytes(0).size(), 64u * net::WirePacket::kSnapBytes);
   EXPECT_THROW(static_cast<void>(pool.cell(10, 0)), std::out_of_range);
   EXPECT_THROW(static_cast<void>(pool.cell(0, 64)), std::out_of_range);
   EXPECT_THROW((RingBufferPool{0, 0, 0, 1}), std::invalid_argument);
-  // A cell smaller than the snap length is backed in full.
-  RingBufferPool small{1, 0, 4, 2, 32};
-  EXPECT_EQ(small.cell(0, 0).size(), 32u);
-  EXPECT_EQ(small.memory_bytes(), 8u * 32u);
 }
 
 TEST(RingBufferPool, CellsAreContiguousPerChunk) {
   // "A chunk of packet buffers ... occupy physically contiguous memory":
   // adjacent cells, and adjacent chunks, sit one cell span apart.
-  for (const std::uint32_t cell_size : {256u, 48u}) {
-    RingBufferPool pool{1, 0, 4, 2, cell_size};
-    const std::size_t span = std::min<std::size_t>(
-        cell_size, net::WirePacket::kSnapBytes);
-    EXPECT_EQ(pool.memory_bytes(), 8u * cell_size);
-    for (std::uint32_t cell = 0; cell < 4; ++cell) {
-      EXPECT_EQ(pool.cell(0, cell).size(), span);
-      EXPECT_EQ(pool.cell(0, cell).data(),
-                pool.chunk_bytes(0).data() + cell * span);
-    }
-    EXPECT_EQ(pool.cell(0, 3).data() + span, pool.cell(1, 0).data());
+  RingBufferPool pool{1, 0, 4, 2};
+  const std::size_t span = net::WirePacket::kSnapBytes;
+  EXPECT_EQ(pool.memory_bytes(), 8u * 2048u);
+  for (std::uint32_t cell = 0; cell < 4; ++cell) {
+    EXPECT_EQ(pool.cell(0, cell).size(), span);
+    EXPECT_EQ(pool.cell(0, cell).data(),
+              pool.chunk_bytes(0).data() + cell * span);
   }
+  EXPECT_EQ(pool.cell(0, 3).data() + span, pool.cell(1, 0).data());
 }
 
 TEST(RingBufferPool, StateMachineRoundTrip) {
@@ -378,24 +369,6 @@ TEST_F(DriverFixture, PoolExhaustionCausesNicDrops) {
   // first replenished segment and completed it within the same capture.
   EXPECT_EQ(out.size(), 5u);
   EXPECT_EQ(nic_->rx_stats(0).received, 20u);
-}
-
-TEST_F(DriverFixture, TransmitSendsPoolCellZeroCopy) {
-  WirecapQueueDriver driver{*nic_, 0, driver_config()};
-  driver.open();
-  inject(4);
-  std::vector<ChunkMeta> out;
-  driver.capture(scheduler_.now(), 16, out);
-  ASSERT_EQ(out.size(), 1u);
-
-  std::uint64_t egress_seq = 1234;
-  nic_->set_egress([&](const net::WirePacket& p) { egress_seq = p.seq(); });
-  bool completed = false;
-  EXPECT_TRUE(driver.transmit(0, out[0], 1, [&] { completed = true; }));
-  scheduler_.run();
-  EXPECT_TRUE(completed);
-  EXPECT_EQ(egress_seq, 1u);
-  EXPECT_EQ(nic_->total_transmitted(), 1u);
 }
 
 TEST_F(DriverFixture, RecycleRejectsForeignMetadata) {

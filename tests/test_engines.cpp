@@ -208,6 +208,8 @@ TEST(Harness, LabelsAreStable) {
 // --- the CLI boundary: strings become enums exactly once ---
 
 TEST(CliParsing, OffloadPolicyRoundTripsAndRejectsUnknown) {
+  using core::OffloadPolicy;
+  using core::parse_offload_policy;
   EXPECT_EQ(parse_offload_policy("least-busy"), OffloadPolicy::kLeastBusy);
   EXPECT_EQ(parse_offload_policy("random"), OffloadPolicy::kRandomBuddy);
   EXPECT_EQ(parse_offload_policy("round-robin"), OffloadPolicy::kRoundRobin);
@@ -240,6 +242,31 @@ TEST(CliParsing, TenantFlagsRejectSignOverflowAndTrailingText) {
         "--tenants=", "--tenant-quota=-1", "--tenant-quota=99999999999",
         "--tenant-quota=8 "}) {
     EXPECT_THROW(static_cast<void>(parse(bad)), std::invalid_argument) << bad;
+  }
+}
+
+TEST(CliParsing, LatencyThresholdRejectsGarbage) {
+  const auto parse = [](std::string arg) {
+    std::string prog = "bench";
+    char* argv[] = {prog.data(), arg.data()};
+    return parse_telemetry_flags(2, argv);
+  };
+  EXPECT_EQ(parse("--latency-threshold-us=5").latency_threshold_us, 5.0);
+  EXPECT_EQ(parse("--latency-threshold-us=0.25").latency_threshold_us, 0.25);
+  EXPECT_EQ(parse("--latency-threshold-us=0").latency_threshold_us, 0.0);
+  for (const char* bad :
+       {"--latency-threshold-us=abc", "--latency-threshold-us=-5",
+        "--latency-threshold-us=5us", "--latency-threshold-us=",
+        "--latency-threshold-us=inf", "--latency-threshold-us=nan",
+        "--latency-threshold-us=1e999", "--latency-threshold-us= 5"}) {
+    try {
+      static_cast<void>(parse(bad));
+      ADD_FAILURE() << bad << " accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("--latency-threshold-us"),
+                std::string::npos)
+          << bad;
+    }
   }
 }
 
@@ -280,7 +307,7 @@ TEST(EngineFactory, EveryKindBuildsItsNamedEngine) {
   params.cells_per_chunk = 64;
   params.chunk_count = 40;
   params.offload_threshold = 0.3;
-  params.offload_policy = OffloadPolicy::kRoundRobin;
+  params.offload_policy = core::OffloadPolicy::kRoundRobin;
   params.nic_numa_node = 1;
   params.queue_numa_node = {1, 0};
   const auto advanced = make_engine(params, scheduler, nic, costs);
@@ -290,7 +317,7 @@ TEST(EngineFactory, EveryKindBuildsItsNamedEngine) {
   EXPECT_EQ(config.chunk_count, 40u);
   ASSERT_TRUE(config.offload_threshold.has_value());
   EXPECT_EQ(*config.offload_threshold, 0.3);
-  EXPECT_EQ(config.offload_policy, OffloadPolicy::kRoundRobin);
+  EXPECT_EQ(config.offload_policy, core::OffloadPolicy::kRoundRobin);
   EXPECT_EQ(config.nic_numa_node, 1u);
   EXPECT_EQ(config.queue_numa_node, (std::vector<std::uint32_t>{1, 0}));
 
@@ -299,6 +326,28 @@ TEST(EngineFactory, EveryKindBuildsItsNamedEngine) {
   EXPECT_FALSE(dynamic_cast<const core::WirecapEngine&>(*basic)
                    .config()
                    .offload_threshold.has_value());
+}
+
+TEST(EngineFactory, X0ReadPathStaysAboveWireRate) {
+  // With x = 0 a single core must keep up with 14.88 Mp/s (Figure 8:
+  // DNA, NETMAP and WireCAP capture 64-byte frames at wire speed
+  // without loss): the handler's base cost plus the per-packet read-path
+  // cost each engine charges the application fits the 67.2 ns budget.
+  sim::Scheduler scheduler;
+  sim::IoBus bus{scheduler};
+  nic::MultiQueueNic nic{scheduler, bus, nic::NicConfig{}};
+  const sim::CostModel costs;
+  const double budget_ns = 1e9 / sim::kWireRate64B;
+  for (const EngineKind kind :
+       {EngineKind::kDna, EngineKind::kNetmap, EngineKind::kWirecapBasic}) {
+    EngineParams params;
+    params.kind = kind;
+    const auto engine = make_engine(params, scheduler, nic, costs);
+    const Nanos per_packet =
+        costs.pkt_handler_cost(0) + engine->app_overhead_per_packet();
+    EXPECT_LT(static_cast<double>(per_packet.count()), budget_ns)
+        << to_string(kind);
+  }
 }
 
 TEST(EngineFactory, TenantRegistrationWorksAcrossEngineKinds) {

@@ -543,6 +543,20 @@ TEST(DpdkEngine, AppOffloadRecoversImbalance) {
   EXPECT_GT(offload.per_queue[1].processed, 140'000u / 4);
 }
 
+TEST(DpdkEngine, HarnessRegistersOneTenantOwningEveryQueue) {
+  // The DPDK application's peer group is a tenant: by default one
+  // tenant holds every queue, so each queue's peers are all the others.
+  apps::ExperimentConfig config;
+  config.engine.kind = apps::EngineKind::kDpdkAppOffload;
+  config.num_queues = 3;
+  apps::Experiment experiment{config};
+  const engines::CaptureEngine& engine = experiment.engine();
+  ASSERT_EQ(engine.tenants().size(), 1u);
+  EXPECT_EQ(engine.tenants()[0].queues,
+            (std::vector<std::uint32_t>{0, 1, 2}));
+  for (std::uint32_t q = 0; q < 3; ++q) EXPECT_EQ(engine.tenant_of(q), 0u);
+}
+
 TEST(DpdkEngine, RejectsBadGeometry) {
   sim::Scheduler scheduler;
   sim::IoBus bus{scheduler};

@@ -288,15 +288,5 @@ TEST(CostModel, PktHandlerRateMatchesPaper) {
   EXPECT_NEAR(rate, kPaperPktHandlerRate300, 40.0);
 }
 
-TEST(CostModel, X0StaysAboveWireRate) {
-  // With x = 0 a single core must keep up with 14.88 Mp/s (Figure 8:
-  // DNA, NETMAP and WireCAP capture at wire speed without loss).
-  const CostModel costs;
-  const double rate =
-      1e9 / static_cast<double>(costs.pkt_handler_cost(0).count() +
-                                costs.ring_sync_cost.count());
-  EXPECT_GT(rate, kWireRate64B);
-}
-
 }  // namespace
 }  // namespace wirecap::sim
