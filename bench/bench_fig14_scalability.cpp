@@ -54,14 +54,12 @@ double run_one(const EngineSpec& spec, std::uint32_t queues_per_nic,
   const sim::CostModel costs;
 
   // WireCAP's extra per-packet bus traffic: chunk management plus
-  // page-table pressure proportional to total pool memory.
-  double rx_transactions = 1.0;
-  if (spec.wirecap) {
-    const double pool_mib = 2.0 * queues_per_nic * spec.m * spec.r *
-                            nic::kBufferBytes / (1024.0 * 1024.0);
-    rx_transactions += costs.wirecap_extra_transactions_per_packet +
-                       costs.memory_pressure_transactions_per_mib * pool_mib;
-  }
+  // page-table pressure proportional to both NICs' pool memory.
+  const double rx_transactions =
+      spec.wirecap ? costs.wirecap_rx_transactions_per_packet(
+                         std::uint64_t{2} * queues_per_nic * spec.m * spec.r *
+                         nic::kBufferBytes)
+                   : 1.0;
 
   const auto make_nic = [&](std::uint32_t id) {
     nic::NicConfig config;
@@ -116,20 +114,13 @@ double run_one(const EngineSpec& spec, std::uint32_t queues_per_nic,
   // the tenant API (tenants = 1 reproduces the paper's single shared
   // group).  Offloading never crosses a tenant boundary.
   if (spec.wirecap) {
-    const auto register_tenants = [&](engines::CaptureEngine& engine) {
-      auto* wirecap = dynamic_cast<core::WirecapEngine*>(&engine);
-      for (std::uint32_t t = 0; t < tenants; ++t) {
-        engines::TenantSpec tenant;
-        tenant.name = "t";
-        tenant.name += std::to_string(t);
-        for (std::uint32_t q = 0; q < queues_per_nic; ++q) {
-          if (q * tenants / queues_per_nic == t) tenant.queues.push_back(q);
-        }
-        if (!tenant.queues.empty()) wirecap->register_tenant(tenant);
+    const std::vector<engines::TenantSpec> specs =
+        engines::slice_tenants(tenants, queues_per_nic);
+    for (engines::CaptureEngine* engine : {engine1.get(), engine2.get()}) {
+      for (const engines::TenantSpec& tenant : specs) {
+        if (!tenant.queues.empty()) engine->register_tenant(tenant);
       }
-    };
-    register_tenants(*engine1);
-    register_tenants(*engine2);
+    }
   }
 
   // One flow per queue, engineered onto its queue by the real RSS hash,
@@ -254,7 +245,8 @@ FairnessResult run_fairness_side(bool aggressor_present) {
   for (std::uint32_t q = 0; q < 2; ++q) processed += handlers[q]->stats().processed;
   result.victim_pps = static_cast<double>(processed) / send_seconds;
   if (aggressor_present) {
-    const engines::TenantAccount& account = engine.tenant_account(aggressor_id);
+    const engines::TenantAccount account =
+        engine.tenant_account(aggressor_id);
     result.aggressor_quota_stalls = account.quota_stalls;
     result.aggressor_charged = account.charged;
   }

@@ -150,10 +150,10 @@ DrainOutcome run_drain(const std::filesystem::path& dir, bool vectored,
   std::filesystem::create_directories(dir);
   sim::Scheduler scheduler;
   sim::CostModel costs;
+  costs.disk_queue_depth = depth;
   store::SpoolConfig config;
   config.dir = dir;
   config.vectored_drain = vectored;
-  config.disk_queue_depth = depth;
   config.queue_capacity_chunks = chunks.size() * 2;
   store::Spool spool{scheduler, costs, config};
 
@@ -296,7 +296,8 @@ int run_drain_compare(const std::string& out_path) {
   const std::vector<engines::ChunkCaptureView> chunks =
       drain_chunks(packets, kCells);
   const DrainOutcome vectored = run_drain(
-      bench_dir("drain-vectored"), /*vectored=*/true, /*depth=*/0, chunks);
+      bench_dir("drain-vectored"), /*vectored=*/true,
+      sim::CostModel{}.disk_queue_depth, chunks);
   const DrainOutcome scalar = run_drain(
       bench_dir("drain-scalar"), /*vectored=*/false, /*depth=*/1, chunks);
   if (vectored.virtual_ns <= 0.0 || scalar.virtual_ns <= 0.0) return 2;

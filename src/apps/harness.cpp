@@ -107,17 +107,11 @@ Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {
   nic_config.num_tx_queues = std::max(1u, config_.num_queues);
   nic_config.rx_ring_size = config_.ring_size;
   if (config_.engine.is_wirecap()) {
-    // WireCAP pays extra bus transactions per packet for its chunk
-    // management, plus page-table pressure proportional to total pool
-    // memory (§4 "Scalability", §5a) — only observable when the bus is
-    // constrained.
-    const double pool_mib =
-        static_cast<double>(config_.num_queues) *
-        config_.engine.cells_per_chunk * config_.engine.chunk_count *
-        nic::kBufferBytes / (1024.0 * 1024.0);
     nic_config.rx_transactions_per_packet =
-        1.0 + config_.costs.wirecap_extra_transactions_per_packet +
-        config_.costs.memory_pressure_transactions_per_mib * pool_mib;
+        config_.costs.wirecap_rx_transactions_per_packet(
+            std::uint64_t{config_.num_queues} *
+            config_.engine.cells_per_chunk * config_.engine.chunk_count *
+            nic::kBufferBytes);
   }
   nic_ = std::make_unique<nic::MultiQueueNic>(scheduler_, *bus_, nic_config);
 
@@ -197,15 +191,9 @@ Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {
     // of the queues as its own buddy group with its own quota.  The DPDK
     // application's app-layer offloading groups its threads the same
     // way (it ignores the quota).
-    const std::uint32_t tenants = std::max(1u, config_.engine.tenants);
-    for (std::uint32_t t = 0; t < tenants; ++t) {
-      engines::TenantSpec spec;
-      spec.name = "t";
-      spec.name += std::to_string(t);
-      spec.chunk_quota = config_.engine.tenant_quota;
-      for (std::uint32_t q = 0; q < config_.num_queues; ++q) {
-        if (q * tenants / config_.num_queues == t) spec.queues.push_back(q);
-      }
+    for (const engines::TenantSpec& spec : engines::slice_tenants(
+             std::max(1u, config_.engine.tenants), config_.num_queues,
+             config_.engine.tenant_quota)) {
       if (!spec.queues.empty()) engine_->register_tenant(spec);
     }
   }

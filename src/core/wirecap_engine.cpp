@@ -49,9 +49,8 @@ void WirecapEngine::open(std::uint32_t queue, sim::SimCore& /*app_core*/) {
   // the chunks would be destroyed while their pools still count them
   // as captured.
   const auto recycle_stale = [this](const driver::ChunkMeta& meta) {
-    if (queues_[meta.ring_id].open &&
-        queues_[meta.ring_id].driver->recycle(meta).is_ok()) {
-      credit_charged(meta.ring_id, 1);
+    if (queues_[meta.ring_id].open) {
+      static_cast<void>(queues_[meta.ring_id].driver->recycle(meta));
     }
   };
   if (qs.capture_ring) {
@@ -108,7 +107,6 @@ void WirecapEngine::close(std::uint32_t queue) {
     if (!status.is_ok()) {
       throw std::logic_error("WirecapEngine: close-drain recycle failed");
     }
-    credit_charged(meta.ring_id, 1);
   };
   driver::ChunkMeta drained;
   while (qs.capture_ring->try_pop(drained)) recycle_to_owner(drained);
@@ -153,12 +151,9 @@ void WirecapEngine::close(std::uint32_t queue) {
   // Chunks still held by application threads (outstanding_) cannot be
   // reclaimed synchronously; bumping the epoch makes their final
   // done()/TX completion drop the stale metadata instead of recycling
-  // it into whatever pool a reopen creates.  Those strays can never
-  // return to this (torn-down) pool, so their quota charge is settled
-  // here, against the owning *tenant's* budget — leaving it on the
-  // account would leak the tenant's quota permanently: the epoch check
-  // in deref_n drops the metadata without another credit.
-  credit_charged(queue, qs.charged);
+  // it into whatever pool a reopen creates.  They stay captured in the
+  // torn-down pool, which no tenant budget counts: charges sum only
+  // open queues' pools.
   ++qs.epoch;
   qs.driver->close();
 }
@@ -190,7 +185,7 @@ engines::TenantId WirecapEngine::register_tenant(
 
 void WirecapEngine::rebuild_tenant_wiring() {
   const std::vector<engines::TenantSpec>& specs = tenants();
-  accounts_.resize(specs.size());
+  quota_stalls_.resize(specs.size());
   // Clear every queue's membership, then wire each spec.  Queues
   // released from a tenant (upsert shrank its group, or another spec
   // claimed them) end up with no tenant and no buddies.
@@ -200,7 +195,6 @@ void WirecapEngine::rebuild_tenant_wiring() {
   }
   for (engines::TenantId id = 0; id < specs.size(); ++id) {
     const engines::TenantSpec& spec = specs[id];
-    accounts_[id].quota = spec.chunk_quota;
     for (const std::uint32_t q : spec.queues) {
       QueueState& qs = queues_[q];
       qs.tenant = id;
@@ -209,46 +203,32 @@ void WirecapEngine::rebuild_tenant_wiring() {
       }
     }
   }
-  // Budgets follow their queues: recompute each account's charged sum
-  // so reassigning a queue moves its live chunks to the new owner.
-  for (engines::TenantAccount& account : accounts_) account.charged = 0;
-  for (const QueueState& qs : queues_) {
-    if (qs.tenant != engines::kNoTenant) {
-      accounts_[qs.tenant].charged += qs.charged;
-    }
-  }
 }
 
-const engines::TenantAccount& WirecapEngine::tenant_account(
+engines::TenantAccount WirecapEngine::tenant_account(
     engines::TenantId tenant) const {
-  return accounts_.at(tenant);
+  return engines::TenantAccount{tenants().at(tenant).chunk_quota,
+                                tenant_charged(tenant),
+                                quota_stalls_.at(tenant)};
 }
 
-void WirecapEngine::credit_charged(std::uint32_t ring, std::uint64_t count) {
-  if (count == 0) return;
-  QueueState& owner = queues_[ring];
-  if (owner.charged < count) {
-    throw std::logic_error("WirecapEngine: tenant quota credit underflow");
+std::uint64_t WirecapEngine::tenant_charged(engines::TenantId tenant) const {
+  std::uint64_t charged = 0;
+  for (const std::uint32_t q : tenants().at(tenant).queues) {
+    const QueueState& qs = queues_[q];
+    if (qs.open) charged += qs.driver->pool().captured_chunks();
   }
-  owner.charged -= count;
-  if (owner.tenant != engines::kNoTenant) {
-    engines::TenantAccount& account = accounts_[owner.tenant];
-    if (account.charged < count) {
-      throw std::logic_error("WirecapEngine: tenant account underflow");
-    }
-    account.charged -= count;
-  }
+  return charged;
 }
 
 std::size_t WirecapEngine::quota_headroom(const QueueState& qs) const {
   if (qs.tenant == engines::kNoTenant) {
     return std::numeric_limits<std::size_t>::max();
   }
-  const engines::TenantAccount& account = accounts_[qs.tenant];
-  if (account.quota == 0) return std::numeric_limits<std::size_t>::max();
-  return account.charged >= account.quota
-             ? 0
-             : static_cast<std::size_t>(account.quota - account.charged);
+  const std::uint32_t quota = tenants()[qs.tenant].chunk_quota;
+  if (quota == 0) return std::numeric_limits<std::size_t>::max();
+  const std::uint64_t charged = tenant_charged(qs.tenant);
+  return charged >= quota ? 0 : static_cast<std::size_t>(quota - charged);
 }
 
 void WirecapEngine::poll(std::uint32_t queue) {
@@ -269,9 +249,6 @@ void WirecapEngine::poll(std::uint32_t queue) {
     if (accepted != recycle_scratch_.size()) {
       throw std::logic_error("WirecapEngine: recycle of own chunk failed");
     }
-    // The recycle queue only ever carries this ring's own chunks, so
-    // the whole batch credits this queue's tenant budget.
-    credit_charged(queue, accepted);
     cost += Nanos{static_cast<std::int64_t>(accepted) *
                   costs_.recycle_chunk_cost.count()};
   }
@@ -287,15 +264,11 @@ void WirecapEngine::poll(std::uint32_t queue) {
   std::uint32_t copied = 0;
   const std::size_t headroom = quota_headroom(qs);
   if (headroom == 0) {
-    ++accounts_[qs.tenant].quota_stalls;
+    ++quota_stalls_[qs.tenant];
   } else {
     copied = qs.driver->capture(
         scheduler_.now(),
         std::min(config_.max_chunks_per_capture, headroom), captured);
-  }
-  qs.charged += captured.size();
-  if (qs.tenant != engines::kNoTenant) {
-    accounts_[qs.tenant].charged += captured.size();
   }
   cost += Nanos{static_cast<std::int64_t>(copied) *
                 costs_.partial_copy_cost.count()};
@@ -526,9 +499,7 @@ bool WirecapEngine::acquire_chunk(std::uint32_t queue, QueueState& qs) {
     if (meta->pkt_count == 0) {
       // Defensive: an empty capture (nothing to deliver) goes straight
       // home rather than minting a zero-packet view.
-      if (queues_[meta->ring_id].driver->recycle(*meta).is_ok()) {
-        credit_charged(meta->ring_id, 1);
-      }
+      static_cast<void>(queues_[meta->ring_id].driver->recycle(*meta));
       continue;
     }
     qs.current = CurrentChunk{*meta, 0};
@@ -626,29 +597,6 @@ std::size_t WirecapEngine::try_next_batch(std::uint32_t queue,
   // view's handle resolves to the one chunk key at release time.
   batch.refs.push_back(engines::BatchRef{batch.views[0].handle, take});
   return take;
-}
-
-void WirecapEngine::done_batch(std::uint32_t queue,
-                               const engines::PacketBatch& batch) {
-  if (!batch.refs.empty()) {
-    // The base settles refs via release_ref() → deref_n: one refcount
-    // decrement per batch regardless of how the views were compacted.
-    engines::CaptureEngine::done_batch(queue, batch);
-    return;
-  }
-  // Hand-built batch with no refs: release by views.  They arrive in
-  // capture order, so same-chunk views are consecutive — collapse each
-  // run into a single deref_n.  (Robust to callers that filtered or
-  // reordered the batch — a run is just shorter then.)
-  std::size_t i = 0;
-  const std::size_t n = batch.views.size();
-  while (i < n) {
-    const std::uint64_t key = handle_key(batch.views[i].handle);
-    std::size_t j = i + 1;
-    while (j < n && handle_key(batch.views[j].handle) == key) ++j;
-    deref_n(key, static_cast<std::uint32_t>(j - i));
-    i = j;
-  }
 }
 
 void WirecapEngine::release_ref(std::uint32_t /*queue*/, std::uint64_t handle,
@@ -876,19 +824,13 @@ void WirecapEngine::bind_tenant_telemetry(engines::TenantId tenant) {
   // resolve through live engine state, so rebinding would only churn.
   if (registry.contains(tp + "charged")) return;
   registry.bind_gauge(tp + "charged", [this, tenant] {
-    return tenant < accounts_.size()
-               ? static_cast<double>(accounts_[tenant].charged)
-               : 0.0;
+    return static_cast<double>(tenant_charged(tenant));
   });
   registry.bind_gauge(tp + "quota", [this, tenant] {
-    return tenant < accounts_.size()
-               ? static_cast<double>(accounts_[tenant].quota)
-               : 0.0;
+    return static_cast<double>(tenants()[tenant].chunk_quota);
   });
-  registry.bind_counter(tp + "quota_stalls", [this, tenant] {
-    return tenant < accounts_.size() ? accounts_[tenant].quota_stalls
-                                     : std::uint64_t{0};
-  });
+  registry.bind_counter(tp + "quota_stalls",
+                        [this, tenant] { return quota_stalls_[tenant]; });
   registry.bind_gauge(tp + "queues", [this, tenant] {
     return tenant < tenants().size()
                ? static_cast<double>(tenants()[tenant].queues.size())
@@ -1041,13 +983,10 @@ WirecapEngine::CapturedCensus WirecapEngine::captured_census(
 WirecapEngine::TenantCensus WirecapEngine::tenant_census(
     engines::TenantId tenant) const {
   TenantCensus census;
-  if (tenant < accounts_.size()) {
-    census.account_charged = accounts_[tenant].charged;
-  }
+  census.account_charged = tenant_charged(tenant);
   for (std::uint32_t q = 0; q < queues_.size(); ++q) {
     const QueueState& qs = queues_[q];
     if (qs.tenant != tenant || !qs.open) continue;
-    census.queue_charged += qs.charged;
     census.pool_captured += qs.driver->pool().state_counts().captured;
     census.engine_census += captured_census(q).total();
   }

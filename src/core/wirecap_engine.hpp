@@ -137,9 +137,10 @@ class WirecapEngine final : public engines::CaptureEngine {
   /// queues must already be open (std::logic_error otherwise).
   engines::TenantId register_tenant(const engines::TenantSpec& spec) override;
 
-  /// Quota-side account of `tenant` (charged captured chunks, quota,
-  /// capture polls skipped at quota).
-  [[nodiscard]] const engines::TenantAccount& tenant_account(
+  /// Quota-side account of `tenant`, built on each call: the quota from
+  /// its spec, the charge from its open queues' pools, and the capture
+  /// polls skipped at quota.
+  [[nodiscard]] engines::TenantAccount tenant_account(
       engines::TenantId tenant) const;
 
   // --- CaptureEngine interface ---
@@ -171,10 +172,6 @@ class WirecapEngine final : public engines::CaptureEngine {
   /// one refcount decrement.
   std::size_t try_next_batch(std::uint32_t queue, std::size_t max_packets,
                              engines::PacketBatch& batch) override;
-  /// Settles the batch's refs with one deref_n each; hand-built batches
-  /// without refs fall back to one deref per run of same-chunk views.
-  void done_batch(std::uint32_t queue,
-                  const engines::PacketBatch& batch) override;
   [[nodiscard]] bool supports_batch_shares() const override { return true; }
   /// Fan-out support: raises each chunk's outstanding refcount by
   /// `extra` releases per batch packet and mirrors the grant into the
@@ -249,15 +246,15 @@ class WirecapEngine final : public engines::CaptureEngine {
   [[nodiscard]] CapturedCensus captured_census(std::uint32_t ring) const;
 
   /// Per-tenant conservation inputs, summed over the tenant's *open*
-  /// member queues.  For a quiesced engine all four agree:
-  ///   account_charged == queue_charged == pool_captured == engine_census
+  /// member queues.  For a quiesced engine all three agree:
+  ///   account_charged == pool_captured == engine_census
   /// — the tenant extension of the conservation law.  account_charged
-  /// is the quota budget (what capture throttles on); queue_charged the
-  /// per-queue engine-side tally; pool_captured the pools' ground
-  /// truth; engine_census the sum of captured_census() totals.
+  /// is the quota budget capture throttles on (the pools' O(1)
+  /// captured_chunks() counters); pool_captured the O(R) recount of
+  /// their chunk states; engine_census the sum of captured_census()
+  /// totals.
   struct TenantCensus {
     std::uint64_t account_charged = 0;
-    std::uint64_t queue_charged = 0;
     std::uint64_t pool_captured = 0;
     std::uint64_t engine_census = 0;
   };
@@ -304,10 +301,6 @@ class WirecapEngine final : public engines::CaptureEngine {
     /// construction from WirecapConfig (pools created by open() are
     /// placed here).
     std::uint32_t numa_node = 0;
-    /// Captured chunks of this ring's pool currently charged against
-    /// the owning tenant's quota (== the pool's captured count while
-    /// open).  close() credits the remainder back to the tenant.
-    std::uint64_t charged = 0;
     /// Per-queue offload-policy state.  Engine-global state here skewed
     /// round-robin toward low indices with heterogeneous buddy lists and
     /// correlated the xorshift streams across queues; open() seeds the
@@ -396,15 +389,15 @@ class WirecapEngine final : public engines::CaptureEngine {
   /// delivered, queues); same late-binding rules as queue telemetry.
   void bind_tenant_telemetry(engines::TenantId tenant);
   /// Rebuilds every queue's tenant membership and buddy list from the
-  /// base-class registry, then recomputes the accounts' charged sums —
-  /// one idempotent pass that handles upserts and cross-tenant queue
-  /// releases alike.
+  /// base-class registry — one idempotent pass that handles upserts and
+  /// cross-tenant queue releases alike.  Budgets need no rebuild: a
+  /// charge is read from whichever pools the tenant owns now.
   void rebuild_tenant_wiring();
-  /// Credits `count` recycled (or close-stranded) chunks of `ring`'s
-  /// pool back to its queue tally and its tenant's budget.
-  void credit_charged(std::uint32_t ring, std::uint64_t count);
+  /// Captured chunks `tenant` holds: the sum of captured_chunks() over
+  /// its open member queues' pools.
+  [[nodiscard]] std::uint64_t tenant_charged(engines::TenantId tenant) const;
   /// Capture headroom `queue`'s tenant quota leaves (SIZE_MAX when
-  /// unlimited).
+  /// unlimited; the pools are summed only under a nonzero quota).
   [[nodiscard]] std::size_t quota_headroom(const QueueState& qs) const;
 
   // Journey stamping, one call per lifecycle transition.  Callers gate
@@ -420,8 +413,9 @@ class WirecapEngine final : public engines::CaptureEngine {
   WirecapConfig config_;
   sim::CostModel costs_;
   std::vector<QueueState> queues_;
-  /// Quota accounts, indexed by TenantId (parallel to tenants()).
-  std::vector<engines::TenantAccount> accounts_;
+  /// Capture polls skipped at quota, indexed by TenantId (parallel to
+  /// tenants()).
+  std::vector<std::uint64_t> quota_stalls_;
   std::unordered_map<std::uint64_t, Outstanding> outstanding_;
   /// Scratch for poll()'s batched recycle drain and its captured chunks
   /// (reused across polls; poll() never re-enters itself).

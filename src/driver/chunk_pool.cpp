@@ -52,6 +52,7 @@ Result<ChunkMeta> RingBufferPool::mark_captured(std::uint32_t chunk_id,
     return StatusCode::kInvalidArgument;
   }
   states_[chunk_id] = ChunkState::kCaptured;
+  ++captured_;
   notify(chunk_id, ChunkState::kAttached, ChunkState::kCaptured, "capture");
   return ChunkMeta{nic_id_, ring_id_, chunk_id, first_cell, pkt_count};
 }
@@ -62,6 +63,7 @@ Result<ChunkMeta> RingBufferPool::capture_free_chunk(std::uint32_t pkt_count) {
   const std::uint32_t chunk_id = free_list_.back();
   free_list_.pop_back();
   states_[chunk_id] = ChunkState::kCaptured;
+  ++captured_;
   notify(chunk_id, ChunkState::kFree, ChunkState::kCaptured, "rescue");
   return ChunkMeta{nic_id_, ring_id_, chunk_id, 0, pkt_count};
 }
@@ -92,6 +94,7 @@ Status RingBufferPool::recycle(const ChunkMeta& meta) {
   }
   states_[meta.chunk_id] = ChunkState::kFree;
   free_list_.push_back(meta.chunk_id);
+  --captured_;
   notify(meta.chunk_id, ChunkState::kCaptured, ChunkState::kFree, "recycle");
   return Status::ok();
 }

@@ -146,6 +146,11 @@ class RingBufferPool {
     return static_cast<std::uint32_t>(free_list_.size());
   }
 
+  /// Chunks in the captured state, kept O(1) the way free_chunks() reads
+  /// the free list (state_counts().captured recounts it in O(R)).  The
+  /// engine charges tenant quotas from this count.
+  [[nodiscard]] std::uint32_t captured_chunks() const { return captured_; }
+
   // --- state transitions ---
 
   /// free -> attached.  Returns the chunk id, or kExhausted when the
@@ -263,6 +268,7 @@ class RingBufferPool {
   std::vector<CellInfo> cell_info_;
   std::vector<ChunkState> states_;
   std::vector<std::uint32_t> free_list_;
+  std::uint32_t captured_ = 0;
   /// Per-chunk fan-out share counts; nonzero only while captured.
   std::vector<std::uint32_t> extra_shares_;
   PoolObserver* observer_ = nullptr;

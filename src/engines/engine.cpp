@@ -91,13 +91,13 @@ std::size_t CaptureEngine::try_next_batch(std::uint32_t queue,
 }
 
 void CaptureEngine::done_batch(std::uint32_t queue, const PacketBatch& batch) {
-  if (!batch.refs.empty()) {
-    for (const BatchRef& ref : batch.refs) {
-      if (ref.packets > 0) release_ref(queue, ref.handle, ref.packets);
-    }
-    return;
+  if (batch.refs.empty() && !batch.views.empty()) {
+    throw std::logic_error(
+        "CaptureEngine::done_batch: batch has views but no refs");
   }
-  for (const CaptureView& view : batch.views) done(queue, view);
+  for (const BatchRef& ref : batch.refs) {
+    if (ref.packets > 0) release_ref(queue, ref.handle, ref.packets);
+  }
 }
 
 void CaptureEngine::add_batch_shares(std::uint32_t /*queue*/,

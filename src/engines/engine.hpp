@@ -113,8 +113,9 @@ class CaptureEngine {
   /// batch whose views were compacted in place (a pipeline stage
   /// dropping packets, even down to zero) still releases every buffer
   /// exactly once.  Views released out of band (forward()) must be
-  /// subtracted via PacketBatch::note_released() first.  Hand-built
-  /// batches with empty refs fall back to one done() per view.
+  /// subtracted via PacketBatch::note_released() first.  The refs are
+  /// the only release obligation: a batch with views but no refs is a
+  /// caller bug and throws std::logic_error (nothing is released).
   virtual void done_batch(std::uint32_t queue, const PacketBatch& batch);
 
   /// True when the engine implements add_batch_shares() natively (the

@@ -44,10 +44,11 @@ struct ChunkCaptureView {
 /// buffers behind `handle`.  try_next_batch() records the batch's
 /// original extent here — one ref covering the whole chunk run for
 /// chunk-native engines (WireCAP), one ref per view for the per-packet
-/// baselines — and done_batch() settles the refs, not the views.  That
-/// makes in-place compaction of `views` (a pipeline stage dropping
+/// baselines — and done_batch() settles the refs, never the views.
+/// That makes in-place compaction of `views` (a pipeline stage dropping
 /// packets, even all of them) leak-free by construction: removing a
-/// view never loses its release.
+/// view never loses its release.  Refs are the only way a batch is
+/// released; done_batch() rejects a batch with views but no refs.
 struct BatchRef {
   std::uint64_t handle = 0;
   std::uint32_t packets = 0;

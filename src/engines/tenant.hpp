@@ -5,8 +5,10 @@
 // A TenantSpec's queues form the tenant's buddy group (offloading never
 // crosses tenants), and `chunk_quota` caps how many captured chunks the
 // tenant may hold engine-wide at once (a stalled tenant exhausts only
-// its own budget, not the NIC).  Offload policy, threshold and NUMA
-// placement stay engine-wide.
+// its own budget, not the NIC).  The spec is the quota's only home, and
+// the charge is read from the ring-buffer pools of the tenant's open
+// queues, so a budget follows its queues without any bookkeeping of its
+// own.  Offload policy, threshold and NUMA placement stay engine-wide.
 //
 // Registration is an upsert keyed on `name`: re-registering a name
 // replaces that tenant's spec.  Queue ownership is exclusive — a queue
@@ -45,12 +47,37 @@ struct TenantSpec {
   std::uint32_t chunk_quota = 0;
 };
 
-/// Quota-side account of one tenant, exposed for tests / benches /
-/// the lifecycle auditor's per-tenant conservation check.
+/// Quota-side account of one tenant, assembled on request for tests and
+/// benches (the engine stores only `quota_stalls`).
 struct TenantAccount {
-  std::uint32_t quota = 0;          ///< 0 = unlimited
-  std::uint64_t charged = 0;        ///< captured chunks currently held
+  std::uint32_t quota = 0;          ///< the spec's; 0 = unlimited
+  std::uint64_t charged = 0;        ///< captured in its open queues' pools
   std::uint64_t quota_stalls = 0;   ///< capture polls skipped at quota
 };
+
+/// The contiguous-slice partition the harnesses register: `tenants`
+/// tenants split queues [0, num_queues) in order, and queue q belongs to
+/// tenant q * tenants / num_queues.
+[[nodiscard]] inline TenantId slice_owner(std::uint32_t queue,
+                                          std::uint32_t tenants,
+                                          std::uint32_t num_queues) {
+  return queue * tenants / num_queues;
+}
+
+/// One spec per slice, named "t0", "t1", ... and carrying `chunk_quota`.
+/// A slice owns no queue when there are more tenants than queues.
+[[nodiscard]] inline std::vector<TenantSpec> slice_tenants(
+    std::uint32_t tenants, std::uint32_t num_queues,
+    std::uint32_t chunk_quota = 0) {
+  std::vector<TenantSpec> specs(tenants);
+  for (TenantId t = 0; t < tenants; ++t) {
+    specs[t].name = "t" + std::to_string(t);
+    specs[t].chunk_quota = chunk_quota;
+  }
+  for (std::uint32_t q = 0; q < num_queues; ++q) {
+    specs[slice_owner(q, tenants, num_queues)].queues.push_back(q);
+  }
+  return specs;
+}
 
 }  // namespace wirecap::engines

@@ -41,6 +41,11 @@ std::size_t FanOut::subscribe(Subscriber subscriber) {
 }
 
 void FanOut::offer(std::uint32_t queue, engines::PacketBatch&& batch) {
+  if (batch.refs.empty() && !batch.views.empty()) {
+    // Rejected before any subscriber holds a piece, whose release would
+    // otherwise throw from a SharedBatch destructor.
+    throw std::logic_error("FanOut::offer: batch has views but no refs");
+  }
   ++offers_;
   const std::size_t nsubs = subs_.size();
   for (std::vector<engines::CaptureView>& views : scratch_) views.clear();
@@ -84,14 +89,12 @@ void FanOut::offer(std::uint32_t queue, engines::PacketBatch&& batch) {
     // Nobody wants it (or the pipeline compacted it away): settle the
     // batch's release obligations right here.
     ++unclaimed_;
-    if (!batch.refs.empty() || !batch.views.empty()) {
-      engine_.done_batch(queue, batch);
-    }
+    engine_.done_batch(queue, batch);
     batch.clear();
     return;
   }
 
-  if (engine_.supports_batch_shares() && !batch.refs.empty()) {
+  if (engine_.supports_batch_shares()) {
     // Engine-share mode: grant one extra full release per receiving
     // subscriber BEFORE any SharedBatch exists, so a handler releasing
     // synchronously can never drop the chunk refcount to zero early.

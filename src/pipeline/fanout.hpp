@@ -122,6 +122,8 @@ class FanOut {
   /// whatever they do not take.  Consumes the batch: the caller must
   /// not touch it (beyond clear()) afterwards, and must NOT call
   /// done_batch() on it — release is the FanOut's job from here on.
+  /// Throws std::logic_error, before steering, on a batch with views but
+  /// no refs (done_batch() could never release it).
   void offer(std::uint32_t queue, engines::PacketBatch&& batch);
 
   [[nodiscard]] std::size_t subscriber_count() const { return subs_.size(); }

@@ -14,6 +14,8 @@
 // app_base_cost below 67 ns, and pf_ring_copy_cost above 67 ns.
 #pragma once
 
+#include <cstdint>
+
 #include "common/units.hpp"
 
 namespace wirecap::sim {
@@ -156,8 +158,20 @@ struct CostModel {
   /// large ring-buffer pools are configured (the paper's "big-memory
   /// application pays a high cost for page-based virtual memory",
   /// Fig. 14 WireCAP-A-(256,500) at 5-6 queues/NIC).  Applied per MiB of
-  /// total pool memory beyond a working-set knee; see bench_fig14.
+  /// total pool memory by wirecap_rx_transactions_per_packet().
   double memory_pressure_transactions_per_mib = 1e-4;
+
+  /// WireCAP's bus transactions per received packet: the DMA write, the
+  /// chunk-management extra, and page-table pressure from `pool_bytes`
+  /// of ring-buffer pools in total (§4 "Scalability", §5a; only visible
+  /// when the bus is constrained).
+  [[nodiscard]] constexpr double wirecap_rx_transactions_per_packet(
+      std::uint64_t pool_bytes) const {
+    const double pool_mib =
+        static_cast<double>(pool_bytes) / (1024.0 * 1024.0);
+    return 1.0 + wirecap_extra_transactions_per_packet +
+           memory_pressure_transactions_per_mib * pool_mib;
+  }
 
   /// Returns the per-packet cost of one pkt_handler iteration at BPF
   /// repetition count x.

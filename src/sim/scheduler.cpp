@@ -5,37 +5,12 @@
 
 namespace wirecap::sim {
 
-void EventHandle::cancel() {
-  if (const auto owner = owner_.lock()) (*owner)->cancel(seq_);
-}
-
-bool EventHandle::pending() const {
-  const auto owner = owner_.lock();
-  return owner && (*owner)->find(seq_) != (*owner)->heap_.size();
-}
-
-EventHandle Scheduler::schedule_at(Nanos when, Callback fn) {
+void Scheduler::schedule_at(Nanos when, Callback fn) {
   if (when < now_) {
     throw std::invalid_argument("Scheduler: cannot schedule in the past");
   }
-  const std::uint64_t seq = next_seq_++;
-  heap_.push_back(Event{when, seq, std::move(fn)});
+  heap_.push_back(Event{when, next_seq_++, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  return EventHandle{token_, seq};
-}
-
-std::size_t Scheduler::find(std::uint64_t seq) const {
-  const auto it = std::find_if(heap_.begin(), heap_.end(),
-                               [seq](const Event& e) { return e.seq == seq; });
-  return static_cast<std::size_t>(it - heap_.begin());
-}
-
-void Scheduler::cancel(std::uint64_t seq) {
-  const std::size_t index = find(seq);
-  if (index == heap_.size()) return;  // already ran or cancelled
-  heap_[index] = std::move(heap_.back());
-  heap_.pop_back();
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 std::uint64_t Scheduler::run() {

@@ -245,16 +245,9 @@ void SpoolShard::offer(engines::ChunkCaptureView chunk, Release release) {
   maybe_start_write();
 }
 
-std::size_t SpoolShard::effective_queue_depth() const {
-  const unsigned depth = config_.disk_queue_depth != 0
-                             ? config_.disk_queue_depth
-                             : costs_.disk_queue_depth;
-  return depth == 0 ? 1 : depth;
-}
-
 void SpoolShard::maybe_start_write() {
   while (!closed_ && !retry_scheduled_ && !queue_.empty() &&
-         in_flight_.size() < effective_queue_depth()) {
+         in_flight_.size() < std::max(1u, costs_.disk_queue_depth)) {
     const Nanos now = scheduler_.now();
     if (now < full_until_) {
       // ENOSPC: hold the queue (backpressure propagates to the pool)

@@ -74,10 +74,6 @@ struct SpoolConfig {
   /// check and one vectored commit per chunk).  Off, the drain issues
   /// one write per packet and pays disk_packet_write_cost for each.
   bool vectored_drain = true;
-  /// Outstanding simulated-disk writes per shard; 0 takes the cost
-  /// model's disk_queue_depth.  Depth 1 reproduces the synchronous
-  /// one-write-at-a-time drain.
-  unsigned disk_queue_depth = 0;
   /// Bits per segment footer flow Bloom filter (rounded up to a power
   /// of two); 0 disables the bloom, leaving only the exact flow tally.
   std::size_t flow_bloom_bits = 8192;
@@ -270,7 +266,6 @@ class SpoolShard {
   /// Releases one outstanding write early (close/evict): the bytes hit
   /// the file at submit time, only the completion latency was pending.
   void settle(InFlight&& op);
-  [[nodiscard]] std::size_t effective_queue_depth() const;
   void discard(Queued&& item, std::uint64_t ShardStats::*chunk_counter,
                std::uint64_t ShardStats::*packet_counter);
 
@@ -284,7 +279,7 @@ class SpoolShard {
   bool closed_ = false;
   /// Outstanding writes, oldest first: bytes already on disk, awaiting
   /// the virtual-time completion events that release them.  Bounded by
-  /// effective_queue_depth().
+  /// CostModel::disk_queue_depth (at least one).
   std::deque<InFlight> in_flight_;
   std::uint64_t next_op_id_ = 0;
   /// The simulated device serializes transfers; this is when it frees

@@ -15,16 +15,10 @@ Sampler::Sampler(sim::Scheduler& scheduler, Telemetry& telemetry,
 void Sampler::start() {
   if (running_) return;
   running_ = true;
-  next_ = scheduler_.schedule_after(interval_, [this] { tick(); });
-}
-
-void Sampler::stop() {
-  running_ = false;
-  next_.cancel();
+  scheduler_.schedule_after(interval_, [this] { tick(); });
 }
 
 void Sampler::tick() {
-  if (!running_) return;
   ++ticks_;
   const Nanos now = scheduler_.now();
 
@@ -46,7 +40,7 @@ void Sampler::tick() {
     }
   }
 
-  next_ = scheduler_.schedule_after(interval_, [this] { tick(); });
+  scheduler_.schedule_after(interval_, [this] { tick(); });
 }
 
 }  // namespace wirecap::telemetry

@@ -21,9 +21,9 @@ class Sampler {
   /// Ticks every `interval` of virtual time once started.
   Sampler(sim::Scheduler& scheduler, Telemetry& telemetry, Nanos interval);
 
-  /// Schedules the first tick one interval from now.  Idempotent.
+  /// Schedules the first tick one interval from now; from then on the
+  /// sampler ticks until the scheduler stops running.  Idempotent.
   void start();
-  void stop();
 
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
 
@@ -35,7 +35,6 @@ class Sampler {
   Nanos interval_;
   bool running_ = false;
   std::uint64_t ticks_ = 0;
-  sim::EventHandle next_;
   /// Gauge entries cached for counter-event emission; refreshed when the
   /// registry grows (entries are never removed, and std::map nodes are
   /// stable, so the cached pointers stay valid).

@@ -225,8 +225,8 @@ void FaultHarness::open_queue(std::uint32_t queue) {
 }
 
 std::uint32_t FaultHarness::tenant_of(std::uint32_t queue) const {
-  const std::uint32_t tenants = std::max(1u, config_.plan.num_tenants);
-  return queue * tenants / config_.plan.num_queues;
+  return engines::slice_owner(queue, std::max(1u, config_.plan.num_tenants),
+                              config_.plan.num_queues);
 }
 
 void FaultHarness::rebind_buddies() {
@@ -235,14 +235,10 @@ void FaultHarness::rebind_buddies() {
   // the spec).  A tenant with every queue closed keeps its stale spec;
   // the engine already ignores closed buddies in dispatch.
   const std::uint32_t tenants = std::max(1u, config_.plan.num_tenants);
-  for (std::uint32_t t = 0; t < tenants; ++t) {
-    engines::TenantSpec spec;
-    spec.name = "t";
-    spec.name += std::to_string(t);
-    spec.chunk_quota = config_.tenant_quota;
-    for (std::uint32_t q = 0; q < queue_open_.size(); ++q) {
-      if (queue_open_[q] && tenant_of(q) == t) spec.queues.push_back(q);
-    }
+  for (engines::TenantSpec& spec : engines::slice_tenants(
+           tenants, config_.plan.num_queues, config_.tenant_quota)) {
+    std::erase_if(spec.queues,
+                  [this](std::uint32_t q) { return !queue_open_[q]; });
     // The single-tenant harness keeps the historical behaviour: no
     // buddy group until at least two queues are up.
     const std::size_t min_queues = tenants == 1 ? 2 : 1;
@@ -535,9 +531,8 @@ void FaultHarness::audit_tick() {
 
 void FaultHarness::audit_tenants() {
   if (config_.plan.num_tenants <= 1) return;
-  // The per-tenant census is only well-defined while all the tenant's
-  // member queues are open (close() settles the account by crediting
-  // the stranded charge).
+  // Audited while every member queue is open: the census sums open
+  // queues only, so a tenant mid-reopen would be checked on a subset.
   const auto& specs = engine_->tenants();
   for (std::uint32_t t = 0; t < specs.size(); ++t) {
     bool all_open = !specs[t].queues.empty();

@@ -226,8 +226,8 @@ class FaultHarness {
   /// DMA up to `retries` more times, and schedules the reopen.
   void close_queue(std::uint32_t queue, int retries);
   void rebind_buddies();
-  /// The contiguous-slice tenant partition (matches the registration in
-  /// rebind_buddies and the tenant_delivered aggregation).
+  /// Owner of `queue` under engines::slice_owner, the partition
+  /// rebind_buddies registers and tenant_delivered aggregates by.
   [[nodiscard]] std::uint32_t tenant_of(std::uint32_t queue) const;
   void apply(const FaultEvent& event);
   void schedule_traffic(std::uint32_t queue, Nanos at);

@@ -200,6 +200,12 @@ void ChunkLifecycleAuditor::check_pool(const driver::RingBufferPool& pool) {
                   " disagrees with free state count " +
                   std::to_string(counts.free));
   }
+  if (counts.captured != pool.captured_chunks()) {
+    violation(pool, 0,
+              "captured counter " + std::to_string(pool.captured_chunks()) +
+                  " disagrees with captured state count " +
+                  std::to_string(counts.captured));
+  }
   const auto it = shadows_.find(pool.uid());
   if (it == shadows_.end()) return;  // never saw a transition yet
   for (std::uint32_t c = 0; c < pool.chunk_count(); ++c) {
@@ -268,14 +274,12 @@ void ChunkLifecycleAuditor::check_tenant_conservation(
   ++stats_.tenant_checks;
   const core::WirecapEngine::TenantCensus census =
       engine.tenant_census(tenant);
-  if (census.account_charged != census.queue_charged ||
-      census.account_charged != census.pool_captured ||
+  if (census.account_charged != census.pool_captured ||
       census.account_charged != census.engine_census) {
     tenant_violation(
         tenant,
         "per-tenant conservation: account charged " +
-            std::to_string(census.account_charged) + ", queue charged " +
-            std::to_string(census.queue_charged) + ", pool captured " +
+            std::to_string(census.account_charged) + ", pool captured " +
             std::to_string(census.pool_captured) + ", engine census " +
             std::to_string(census.engine_census) + " disagree");
   }

@@ -78,7 +78,8 @@ class ChunkLifecycleAuditor final : public driver::PoolObserver {
 
   /// Per-pool invariants: the shadow agrees with the pool's actual
   /// states chunk by chunk (a disagreement means a transition bypassed
-  /// the observer seam) and the state populations sum to R.
+  /// the observer seam), the state populations sum to R, and the pool's
+  /// O(1) free_chunks()/captured_chunks() counters match the recount.
   void check_pool(const driver::RingBufferPool& pool);
 
   /// The engine-wide conservation law for an *open* ring: every chunk
@@ -87,13 +88,12 @@ class ChunkLifecycleAuditor final : public driver::PoolObserver {
   void check_conservation(const core::WirecapEngine& engine,
                           std::uint32_t ring);
 
-  /// The per-tenant extension of the conservation law: the tenant's
-  /// quota account, the sum of its queues' charge counters, the sum of
-  /// its pools' captured populations and the engine-side census must
-  /// all agree — a stalled tenant can only be debited for chunks that
-  /// really sit in its own pools, never a neighbour's.  Only meaningful
-  /// while every member queue is open (close() strands are settled by
-  /// the close()-time credit).
+  /// The per-tenant extension of the conservation law: the charge the
+  /// quota throttles on (the pools' O(1) captured counters), the O(R)
+  /// recount of those pools' chunk states and the engine-side census
+  /// must all agree — a stalled tenant can only be debited for chunks
+  /// that really sit in its own pools, never a neighbour's.  All three
+  /// sum the tenant's open member queues only.
   void check_tenant_conservation(const core::WirecapEngine& engine,
                                  engines::TenantId tenant);
 

@@ -533,10 +533,47 @@ TEST(WirecapTenancy, QuotaCapsCaptureAndIsolatesNeighbor) {
   EXPECT_GT(engine.tenant_account(tb).charged, 4u);
   EXPECT_EQ(engine.tenant_account(tb).quota_stalls, 0u);
 
-  // The four-way per-tenant census agrees for both tenants.
+  // The three-way per-tenant census agrees for both tenants.
   for (const engines::TenantId t : {ta, tb}) {
     const auto census = engine.tenant_census(t);
-    EXPECT_EQ(census.account_charged, census.queue_charged);
+    EXPECT_EQ(census.account_charged, census.pool_captured);
+    EXPECT_EQ(census.account_charged, census.engine_census);
+  }
+}
+
+TEST(WirecapTenancy, BudgetFollowsAStolenQueue) {
+  // Tenant "a" owns queues {0, 1} under a quota and has no consumer, so
+  // its captured chunks stay charged.  When "b" claims queue 1, the
+  // chunks sitting in queue 1's pool move to b's budget with the queue.
+  core::WirecapConfig config;
+  config.cells_per_chunk = 8;
+  config.chunk_count = 16;
+  DispatchFabric fabric{config, 2, {}};
+  core::WirecapEngine& engine = fabric.engine();
+
+  engines::TenantSpec a;
+  a.name = "a";
+  a.queues = {0, 1};
+  a.chunk_quota = 12;
+  const engines::TenantId ta = engine.register_tenant(a);
+
+  fabric.inject_chunks(0, 3);
+  fabric.inject_chunks(1, 4);
+  fabric.run(Nanos::from_millis(5));
+  const std::uint64_t queue1 = engine.pool(1).captured_chunks();
+  ASSERT_EQ(queue1, 4u);
+  ASSERT_EQ(engine.tenant_account(ta).charged, 3u + queue1);
+
+  engines::TenantSpec b;
+  b.name = "b";
+  b.queues = {1};
+  const engines::TenantId tb = engine.register_tenant(b);
+  EXPECT_EQ(engine.tenant_account(ta).charged, 3u);
+  EXPECT_EQ(engine.tenant_account(tb).charged, queue1);
+  EXPECT_EQ(engine.tenant_account(ta).quota, 12u);
+  EXPECT_EQ(engine.tenant_account(tb).quota, 0u);
+  for (const engines::TenantId t : {ta, tb}) {
+    const auto census = engine.tenant_census(t);
     EXPECT_EQ(census.account_charged, census.pool_captured);
     EXPECT_EQ(census.account_charged, census.engine_census);
   }

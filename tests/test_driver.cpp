@@ -160,6 +160,49 @@ TEST(RingBufferPool, RecycleFuzzNeverCorrupts) {
   EXPECT_EQ(pool.free_chunks(), static_cast<std::uint32_t>(free_count));
 }
 
+TEST(RingBufferPool, CapturedCountTracksTransitions) {
+  // captured_chunks() is the O(1) counter tenant budgets are charged
+  // from; every accepted and every refused transition must leave it
+  // equal to the O(R) recount.
+  RingBufferPool pool{1, 0, 8, 4};
+  const auto in_step = [&pool] {
+    return pool.captured_chunks() == pool.state_counts().captured;
+  };
+  EXPECT_EQ(pool.captured_chunks(), 0u);
+
+  const auto id = pool.acquire_for_attach();
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(pool.captured_chunks(), 0u);  // attached is not captured
+  const auto captured = pool.mark_captured(*id, 0, 8);
+  ASSERT_TRUE(captured.has_value());
+  EXPECT_EQ(pool.captured_chunks(), 1u);
+  EXPECT_TRUE(in_step());
+
+  const auto rescued = pool.capture_free_chunk(3);
+  ASSERT_TRUE(rescued.has_value());
+  EXPECT_EQ(pool.captured_chunks(), 2u);
+  EXPECT_TRUE(in_step());
+
+  EXPECT_TRUE(pool.recycle(*captured).is_ok());
+  EXPECT_EQ(pool.captured_chunks(), 1u);
+  EXPECT_TRUE(in_step());
+  // A rejected double recycle changes nothing.
+  EXPECT_EQ(pool.recycle(*captured).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(pool.captured_chunks(), 1u);
+  EXPECT_TRUE(in_step());
+
+  // Outstanding fan-out shares refuse the recycle; the chunk stays
+  // captured until they are released.
+  ASSERT_TRUE(pool.add_shares(rescued->chunk_id, 2).is_ok());
+  EXPECT_EQ(pool.recycle(*rescued).code(), StatusCode::kWouldBlock);
+  EXPECT_EQ(pool.captured_chunks(), 1u);
+  EXPECT_TRUE(in_step());
+  ASSERT_TRUE(pool.release_shares(rescued->chunk_id, 2).is_ok());
+  EXPECT_TRUE(pool.recycle(*rescued).is_ok());
+  EXPECT_EQ(pool.captured_chunks(), 0u);
+  EXPECT_TRUE(in_step());
+}
+
 TEST(RingBufferPool, CookieRoundTrip) {
   const auto cookie = RingBufferPool::make_cookie(12345, 678);
   EXPECT_EQ(RingBufferPool::cookie_chunk(cookie), 12345u);

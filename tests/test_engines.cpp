@@ -549,6 +549,45 @@ TEST(BatchApi, RefsSettleReleasesNotViews) {
   engine->close(0);
 }
 
+// Refs are a batch's only release obligation: a batch that carries views
+// but no refs is refused rather than released view by view.
+TEST(BatchApi, DoneBatchWithoutRefsThrows) {
+  for (const EngineKind kind : {EngineKind::kWirecapBasic, EngineKind::kDna}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    sim::Scheduler scheduler;
+    sim::IoBus bus{scheduler};
+    nic::NicConfig nic_config;
+    nic_config.num_rx_queues = 1;
+    nic_config.rx_ring_size = 32;  // R must exceed ring_size / M
+    nic::MultiQueueNic nic{scheduler, bus, nic_config};
+    EngineParams params;
+    params.kind = kind;
+    params.cells_per_chunk = 8;
+    params.chunk_count = 12;
+    auto engine = make_engine(params, scheduler, nic, sim::CostModel{});
+    sim::SimCore core{scheduler, 0};
+    engine->open(0, core);
+
+    const net::FlowKey flow{net::Ipv4Addr{10, 0, 0, 7},
+                            net::Ipv4Addr{10, 0, 0, 8}, 7100, 80,
+                            net::IpProto::kTcp};
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      nic.receive(net::WirePacket::make(
+          Nanos::from_micros(2.0 * static_cast<double>(i + 1)), flow, 64));
+    }
+    scheduler.run_until(Nanos::from_millis(5));
+
+    engines::PacketBatch batch;
+    ASSERT_GT(engine->try_next_batch(0, 4, batch), 0u);
+    engines::PacketBatch bare;
+    bare.views = batch.views;  // the same views, minus their refs
+    EXPECT_THROW(engine->done_batch(0, bare), std::logic_error);
+    // The batch the views came from still releases through its refs.
+    EXPECT_NO_THROW(engine->done_batch(0, batch));
+    engine->close(0);
+  }
+}
+
 // A view released out of band (an individual done(), forward()) is
 // subtracted from the batch's refs via note_released(), and done_batch()
 // releases exactly the remainder; over-subtracting throws.

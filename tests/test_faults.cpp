@@ -316,9 +316,9 @@ TEST_F(CloseLifecycleFixture, QueueOpenedAfterBindPublishesMetrics) {
 TEST(CloseQuota, CloseReturnsChargedChunksToTenantBudget) {
   // A tenant at its quota closes one queue while the application still
   // holds views: the stranded chunks can never recycle (the epoch bump
-  // drops their metadata), so close() itself must settle the charge.
-  // With the credit missing, the reopened queue starts life already at
-  // quota and captures nothing ever again.
+  // drops their metadata), so the closed queue's pool must stop counting
+  // against the tenant.  If it kept counting, the reopened queue would
+  // start life already at quota and capture nothing ever again.
   sim::Scheduler scheduler;
   sim::IoBus bus{scheduler};
   nic::NicConfig nic_config;
@@ -367,7 +367,7 @@ TEST(CloseQuota, CloseReturnsChargedChunksToTenantBudget) {
       << "close() leaked the queue's quota charge";
 
   // Late done() on pre-close views is epoch-dropped and must not
-  // double-credit the account either.
+  // change the account either.
   for (const engines::CaptureView& view : held) engine.done(0, view);
   EXPECT_EQ(engine.tenant_account(tenant).charged, 0u);
 
@@ -520,7 +520,7 @@ TEST(FaultPlan, TenantConfigShapesSchedule) {
 TEST(FaultSoak, MultiTenantConservationHoldsAcross100Seeds) {
   // Two tenants of two queues each, tight per-tenant quotas, the whole
   // adversity menu including kTenantExhaust: the per-ring law AND the
-  // per-tenant four-way census must hold on every seed.
+  // per-tenant three-way census must hold on every seed.
   FaultHarnessConfig base;
   base.plan.num_queues = 4;
   base.plan.num_tenants = 2;

@@ -601,6 +601,33 @@ TEST(FanOut, CompactedToZeroBatchesStillRelease) {
   EXPECT_EQ(wirecap.captured_census(0).outstanding, 0u);
 }
 
+TEST(FanOut, RejectsBatchWithoutRefsBeforeSteering) {
+  // done_batch() releases only through refs, so a batch with views but
+  // no refs is refused before any subscriber can hold a piece whose
+  // release would throw — in share mode (WireCAP) and slot mode (PSIOE).
+  for (const apps::EngineKind kind :
+       {apps::EngineKind::kWirecapBasic, apps::EngineKind::kPsioe}) {
+    sim::Scheduler scheduler;
+    sim::IoBus bus{scheduler};
+    nic::NicConfig nic_config;
+    nic_config.num_rx_queues = 1;
+    nic::MultiQueueNic nic{scheduler, bus, nic_config};
+    apps::EngineParams params;
+    params.kind = kind;
+    auto engine = apps::make_engine(params, scheduler, nic, sim::CostModel{});
+    FanOut fanout{*engine, Steering::kBroadcast};
+    std::uint64_t calls = 0;
+    fanout.subscribe({"count", [&calls](SharedBatch) { ++calls; },
+                      std::nullopt});
+
+    engines::PacketBatch batch;
+    batch.views.resize(2);
+    EXPECT_THROW(fanout.offer(0, std::move(batch)), std::logic_error);
+    EXPECT_EQ(calls, 0u);
+    EXPECT_EQ(fanout.slots_in_flight(), 0u);
+  }
+}
+
 // --- shared engine vs dedicated engines: identical per-app results ---
 
 struct AppDigest {

@@ -442,9 +442,9 @@ TEST_F(StoreTest, ZeroQueueCapacityRejected) {
 TEST_F(StoreTest, EvictRingSettlesInFlightWrites) {
   sim::Scheduler scheduler;
   sim::CostModel costs;
+  costs.disk_queue_depth = 4;
   SpoolConfig config;
   config.dir = dir_;
-  config.disk_queue_depth = 4;
   Spool spool{scheduler, costs, config};
   SpoolShard& shard = spool.shard(0);
   // Stretch transfers so every write stays outstanding for a long time.
@@ -495,9 +495,9 @@ TEST_F(StoreTest, DeepDiskQueueOverlapsOpLatency) {
                                unsigned depth) {
     sim::Scheduler scheduler;
     sim::CostModel costs;
+    costs.disk_queue_depth = depth;
     SpoolConfig config;
     config.dir = dir;
-    config.disk_queue_depth = depth;
     Spool spool{scheduler, costs, config};
     std::vector<std::unique_ptr<std::vector<std::byte>>> storage;
     std::uint64_t releases = 0;
